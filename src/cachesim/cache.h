@@ -73,44 +73,7 @@ class SetAssocCache {
     return info;
   }
 
-  /// Applies `count` consecutive access() calls to the same (present) line
-  /// in O(1): the LRU tick advances by `count` and lands on this line, the
-  /// line is marked referenced, and dirtied when any of the batched
-  /// accesses is a store — exactly the state `count` sequential calls
-  /// leave behind, since no other access can interleave. Returns a miss
-  /// (hit == false) with no state change when the line is absent.
-  HitInfo access_run(std::uint64_t addr, bool any_store, std::uint64_t count) {
-    const std::size_t idx = find(addr);
-    if (idx == kNpos) return {};
-    const std::uint8_t f = flags_[idx];
-    HitInfo info;
-    info.hit = true;
-    info.first_use_of_prefetch = (f & kPrefetched) != 0 && (f & kReferenced) == 0;
-    flags_[idx] = f | kReferenced | (any_store ? kDirty : 0);
-    tick_ += count;
-    lru_[idx] = tick_;
-    return info;
-  }
-
-  /// Applies `pairs` interleaved hit iterations {access(addr_a), access
-  /// (addr_b)} in O(1). Both lines must be present (the caller probes with
-  /// contains()); the final LRU order — addr_b most recent, addr_a just
-  /// behind it — matches the element-wise sequence exactly, including the
-  /// degenerate addr_a == addr_b case.
-  void access_pair_run(std::uint64_t addr_a, std::uint64_t addr_b, bool is_store,
-                       std::uint64_t pairs) {
-    const std::size_t a = find(addr_a);
-    const std::size_t b = find(addr_b);
-    expects(a != kNpos && b != kNpos, "pair run on a non-resident line");
-    const std::uint8_t set_bits = kReferenced | (is_store ? kDirty : 0);
-    tick_ += 2 * pairs;
-    flags_[a] |= set_bits;
-    lru_[a] = tick_ - 1;
-    flags_[b] |= set_bits;
-    lru_[b] = tick_;
-  }
-
-  // ---- resident-line handles (the engine's multi-stream batcher) -----------
+  // ---- resident-line handles (the engine's batching kernel) ---------------
   // A handle is the line's slot index; it stays valid until the next fill,
   // invalidate, or drain on this cache (those may move or evict lines).
   static constexpr std::size_t npos = ~std::size_t{0};

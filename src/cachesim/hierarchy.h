@@ -12,12 +12,11 @@
 // Hot-path layout: access() is header-inline and handles only the L1-hit
 // case (the overwhelming majority of accesses in streaming codes); every
 // deeper level funnels through the out-of-line access_miss(). The bulk
-// range API in sim::Engine additionally uses the *_l1_run entry points,
-// which collapse a run of consecutive same-line accesses into O(1) state
-// updates with counter credit deferred to the engine's batch accumulator —
-// the "streaming cache shortcut". All of these are exact: the counter and
-// cache state after a batched run is bit-identical to the element-wise
-// access sequence it replaces.
+// API in sim::Engine additionally uses the L1 handle entry points, which
+// apply a window of all-hit accesses as O(1) state updates with counter
+// credit deferred to the engine's batch accumulator — the "streaming cache
+// shortcut". It is exact: the counter and cache state after a batched
+// window is bit-identical to the element-wise access sequence it replaces.
 #pragma once
 
 #include <cstdint>
@@ -71,62 +70,15 @@ class CacheHierarchy {
     return access_miss(vaddr, is_store);
   }
 
-  // ---- bulk same-line runs (sim::Engine range API) -------------------------
-  // A "run" is `count` consecutive demand accesses to one line with no other
-  // access in between. If the line is L1-resident the whole run is L1 hits;
-  // cache state is updated in O(1) and the caller accounts the counters
-  // (credit_l1_run) at batch end. If absent, the caller performs the first
-  // access via access() (the unavoidable miss path) and applies the
-  // remaining count-1 guaranteed hits via l1_touch_run.
-
-  /// Attempts the run as pure L1 hits. Returns false (no state change) when
-  /// the line is not L1-resident.
-  bool try_l1_run(std::uint64_t line_addr, bool any_store, std::uint64_t count) {
-    return l1_.access_run(line_addr, any_store, count).hit;
-  }
-
-  /// access() for a line a just-failed L1 probe established as absent —
-  /// skips the redundant second L1 scan (an L1 miss probe mutates nothing,
-  /// so going straight to the miss path is identical).
-  AccessResult access_after_l1_miss(std::uint64_t vaddr, bool is_store) {
-    if (is_store) {
-      ++counters_.stores;
-    } else {
-      ++counters_.loads;
-    }
-    return access_miss(vaddr, is_store);
-  }
-
-  /// Applies a run of guaranteed L1 hits (the tail after a fill). The line
-  /// must be resident — access() just filled it.
-  void l1_touch_run(std::uint64_t line_addr, bool any_store, std::uint64_t count) {
-    l1_.access_run(line_addr, any_store, count);
-  }
-
-  /// True when the line is L1-resident. Observationally pure (no LRU or
-  /// hint movement) — the probe behind the paired-stream batcher.
-  [[nodiscard]] bool l1_contains(std::uint64_t line_addr) const {
-    return l1_.contains(line_addr);
-  }
-
-  /// Applies `pairs` interleaved iterations of {access line_a, access
-  /// line_b} as guaranteed L1 hits (both lines must be resident — probe
-  /// with l1_contains first). Bit-identical to the element-wise sequence:
-  /// line_b carries the final LRU tick, line_a the one before it.
-  void l1_pair_run(std::uint64_t line_a, std::uint64_t line_b, bool is_store,
-                   std::uint64_t pairs) {
-    l1_.access_pair_run(line_a, line_b, is_store, pairs);
-  }
-
-  // Resident-line handle passthroughs for the engine's multi-stream
-  // batcher (sim::Engine::stream_range). Handles go stale at any L1 fill,
+  // ---- resident-line handles (sim::Engine's batching kernel) -------------
+  // A window of iterations whose lanes all hit L1 is applied as one tick
+  // advance plus one net LRU/dirty update per lane; the counters are
+  // credited at batch end (credit_l1_run). Handles go stale at any L1 fill,
   // so the engine re-resolves them after every non-batched access.
   static constexpr std::size_t l1_npos = SetAssocCache::npos;
-  [[nodiscard]] std::size_t l1_index_of(std::uint64_t line_addr) {
-    return l1_.index_of(line_addr);
-  }
-  /// Batched l1_index_of: the engine resolves every changed lane of a
-  /// window in one call, so the vectorized tag probes issue as one pass.
+  /// Resolves the L1 handle (or l1_npos) of each of `n` lines in one call,
+  /// so the vectorized tag probes of a window's changed lanes issue as one
+  /// pass.
   void l1_index_of_batch(const std::uint64_t* line_addrs, std::size_t n, std::size_t* out) {
     l1_.index_of_batch(line_addrs, n, out);
   }

@@ -1,5 +1,6 @@
 // Byte-stable artifact formatting shared by every CSV/JSON writer whose
-// output is golden-gated (the sweep engine, the fleet simulator).
+// output is golden-gated (the sweep engine, the fleet simulator), and the
+// checked file writer they all go through.
 //
 // The determinism contract across the repository is *byte* identity — a
 // parallel run must produce the same artifact bytes as a serial one, and a
@@ -12,6 +13,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <stdexcept>
 #include <string>
 
 namespace memdis {
@@ -45,6 +48,18 @@ inline std::string json_escape(const std::string& s) {
     }
   }
   return out;
+}
+
+/// Writes an artifact file: opens `path`, hands the stream to `write`, then
+/// closes it and checks the stream, so a short write (full disk, I/O error)
+/// throws instead of leaving a silently truncated artifact behind.
+template <typename Write>
+void write_artifact_file(const std::string& path, Write&& write) {
+  std::ofstream out(path);
+  if (!out) throw std::runtime_error("cannot open " + path + " for writing");
+  write(out);
+  out.close();
+  if (!out) throw std::runtime_error("failed writing " + path);
 }
 
 }  // namespace memdis

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -170,9 +169,7 @@ void SweepResult::write_csv(std::ostream& os) const {
 }
 
 void SweepResult::write_csv_file(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open " + path + " for writing");
-  write_csv(out);
+  write_artifact_file(path, [this](std::ostream& os) { write_csv(os); });
 }
 
 void SweepResult::write_json(std::ostream& os) const {
@@ -198,9 +195,7 @@ void SweepResult::write_json(std::ostream& os) const {
 }
 
 void SweepResult::write_json_file(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open " + path + " for writing");
-  write_json(out);
+  write_artifact_file(path, [this](std::ostream& os) { write_json(os); });
 }
 
 bool SweepResult::rows_equal(const SweepResult& other) const {

@@ -1,10 +1,8 @@
 #include "fleet/fleet.h"
 
 #include <algorithm>
-#include <fstream>
 #include <limits>
 #include <ostream>
-#include <stdexcept>
 
 #include "common/artifact_format.h"
 #include "common/contract.h"
@@ -452,9 +450,7 @@ void FleetResult::write_csv(std::ostream& os) const {
 }
 
 void FleetResult::write_csv_file(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open " + path + " for writing");
-  write_csv(out);
+  write_artifact_file(path, [this](std::ostream& os) { write_csv(os); });
 }
 
 void FleetResult::write_json(std::ostream& os) const {
@@ -495,9 +491,7 @@ void FleetResult::write_json(std::ostream& os) const {
 }
 
 void FleetResult::write_json_file(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open " + path + " for writing");
-  write_json(out);
+  write_artifact_file(path, [this](std::ostream& os) { write_json(os); });
 }
 
 }  // namespace memdis::fleet

@@ -8,27 +8,35 @@
 
 namespace memdis::sched {
 
+namespace {
+
+/// Advances `work_s` idle-system seconds of work through fixed intervals
+/// run at `speed_at(i)` (the relative speed of interval i, called once per
+/// interval in order) and returns the wall time; the last interval ends at
+/// the exact finish.
+template <typename SpeedAt>
+double run_intervals(double work_s, double interval_s, SpeedAt&& speed_at) {
+  double wall = 0.0;
+  for (std::uint64_t i = 0;; ++i) {
+    const double speed = speed_at(i);
+    const double interval_work = interval_s * speed;
+    if (interval_work >= work_s) return wall + work_s / speed;
+    wall += interval_s;
+    work_s -= interval_work;
+  }
+}
+
+}  // namespace
+
 double simulate_run(const JobProfile& job, double max_loi, double reroll_interval_s,
                     std::uint64_t seed) {
   expects(job.base_runtime_s > 0, "job needs a positive idle runtime");
   expects(!job.sensitivity.empty(), "job needs a sensitivity curve");
   expects(reroll_interval_s > 0, "interval must be positive");
   Xoshiro256 rng(seed);
-  double work_left = job.base_runtime_s;  // in idle-system seconds
-  double wall = 0.0;
-  while (work_left > 0) {
-    const double loi = rng.uniform(0.0, max_loi);
-    const double speed = core::interpolate_sensitivity(job.sensitivity, loi);
-    const double interval_work = reroll_interval_s * speed;
-    if (interval_work >= work_left) {
-      wall += work_left / speed;
-      work_left = 0;
-    } else {
-      wall += reroll_interval_s;
-      work_left -= interval_work;
-    }
-  }
-  return wall;
+  return run_intervals(job.base_runtime_s, reroll_interval_s, [&](std::uint64_t) {
+    return core::interpolate_sensitivity(job.sensitivity, rng.uniform(0.0, max_loi));
+  });
 }
 
 double simulate_run_per_link(const JobProfile& job,
@@ -38,9 +46,7 @@ double simulate_run_per_link(const JobProfile& job,
   expects(!job.link_sensitivity.empty(), "job needs per-link sensitivity curves");
   expects(reroll_interval_s > 0, "interval must be positive");
   Xoshiro256 rng(seed);
-  double work_left = job.base_runtime_s;  // in idle-system seconds
-  double wall = 0.0;
-  while (work_left > 0) {
+  return run_intervals(job.base_runtime_s, reroll_interval_s, [&](std::uint64_t) {
     double speed = 1.0;
     for (std::size_t t = 0; t < job.link_sensitivity.size(); ++t) {
       const double max_loi = t < max_loi_per_link.size() ? max_loi_per_link[t] : 0.0;
@@ -50,16 +56,8 @@ double simulate_run_per_link(const JobProfile& job,
       if (job.link_sensitivity[t].empty()) continue;
       speed *= core::interpolate_sensitivity(job.link_sensitivity[t], loi);
     }
-    const double interval_work = reroll_interval_s * speed;
-    if (interval_work >= work_left) {
-      wall += work_left / speed;
-      work_left = 0;
-    } else {
-      wall += reroll_interval_s;
-      work_left -= interval_work;
-    }
-  }
-  return wall;
+    return speed;
+  });
 }
 
 double simulate_run_scheduled(const JobProfile& job, const memsim::LoiSchedule& schedule,
@@ -67,27 +65,15 @@ double simulate_run_scheduled(const JobProfile& job, const memsim::LoiSchedule& 
   expects(job.base_runtime_s > 0, "job needs a positive idle runtime");
   expects(!job.link_sensitivity.empty(), "job needs per-link sensitivity curves");
   expects(reroll_interval_s > 0, "interval must be positive");
-  double work_left = job.base_runtime_s;  // in idle-system seconds
-  double wall = 0.0;
-  std::uint64_t interval = 0;
-  while (work_left > 0) {
+  return run_intervals(job.base_runtime_s, reroll_interval_s, [&](std::uint64_t interval) {
     double speed = 1.0;
     for (std::size_t t = 0; t < job.link_sensitivity.size(); ++t) {
       if (job.link_sensitivity[t].empty()) continue;
       const double loi = schedule.value_at(static_cast<memsim::TierId>(t), interval);
       speed *= core::interpolate_sensitivity(job.link_sensitivity[t], loi);
     }
-    const double interval_work = reroll_interval_s * speed;
-    if (interval_work >= work_left) {
-      wall += work_left / speed;
-      work_left = 0;
-    } else {
-      wall += reroll_interval_s;
-      work_left -= interval_work;
-    }
-    ++interval;
-  }
-  return wall;
+    return speed;
+  });
 }
 
 SharedQueuePair simulate_pair_shared_queue(const JobProfile& a, const JobProfile& b,

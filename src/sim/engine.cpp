@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstring>
 #include <type_traits>
 
@@ -176,259 +177,94 @@ void Engine::free(const memsim::VRange& range) {
 }
 
 // ---- bulk access streams ----------------------------------------------------
+// Every public bulk call validates its arguments, fires its own trace hook
+// once, and hands the element loop it documents to the one batching kernel
+// (stream_lanes) as 1–2 lanes.
 
-void Engine::range_element_loop(std::uint64_t addr, std::uint64_t bytes, std::uint32_t elem,
-                                RangeKind kind) {
-  // access_span, not load()/store(): the public range call already fired
-  // the trace sink once; its decomposition must not record again.
-  const std::uint64_t end = addr + bytes;
-  switch (kind) {
-    case RangeKind::kLoad:
-      for (std::uint64_t a = addr; a < end; a += elem) access_span(a, elem, false);
-      break;
-    case RangeKind::kStore:
-      for (std::uint64_t a = addr; a < end; a += elem) access_span(a, elem, true);
-      break;
-    case RangeKind::kRmw:
-      for (std::uint64_t a = addr; a < end; a += elem) {
-        access_span(a, elem, false);
-        access_span(a, elem, true);
-      }
-      break;
-    case RangeKind::kStoreLoad:
-      for (std::uint64_t a = addr; a < end; a += elem) {
-        access_span(a, elem, true);
-        access_span(a, elem, false);
-      }
-      break;
-  }
-}
-
-bool Engine::line_run_fast(std::uint64_t line_addr, std::uint64_t loads, std::uint64_t stores,
-                           bool first_is_store, BulkAcc& acc) {
-  const std::uint64_t r = loads + stores;
-  // Accesses left before the epoch closes. If the boundary falls inside
-  // (or exactly at the end of) this run, the caller replays it
-  // access-by-access so close_epoch() fires at the identical access.
-  const std::uint64_t room = cfg_.epoch_accesses - epoch_demand_accesses_;
-  if (r >= room) return false;
-  if (hierarchy_.try_l1_run(line_addr, stores != 0, r)) {
-    // Pure L1-hit run: no page samples (sampling fires on non-L1 only).
-    acc.loads += loads;
-    acc.stores += stores;
-    epoch_demand_accesses_ += r;
-    return true;
-  }
-  // Leading access misses L1: the unavoidable full walk, identical to the
-  // element-wise path (counters written directly, page sampler advanced).
-  // The failed run probe already established the L1 miss.
-  const auto res = hierarchy_.access_after_l1_miss(line_addr, first_is_store);
-  if (res.level != cachesim::HitLevel::kL1 &&
-      ++page_sample_counter_ >= cfg_.page_sample_period) {
-    page_sample_counter_ = 0;
-    bump_page_hist(line_addr >> page_shift_);
-  }
-  if (r > 1) {
-    // The remaining r-1 accesses hit the line just filled into L1.
-    const std::uint64_t tail_loads = loads - (first_is_store ? 0 : 1);
-    const std::uint64_t tail_stores = stores - (first_is_store ? 1 : 0);
-    hierarchy_.l1_touch_run(line_addr, tail_stores != 0, r - 1);
-    acc.loads += tail_loads;
-    acc.stores += tail_stores;
-  }
-  epoch_demand_accesses_ += r;  // stays below the epoch threshold: r < room
-  return true;
-}
-
-void Engine::range_access(std::uint64_t addr, std::uint64_t bytes, std::uint32_t elem,
-                          RangeKind kind) {
+void Engine::range_call(std::uint8_t kind, std::uint64_t addr, std::uint64_t bytes,
+                        std::uint32_t elem) {
   expects(bytes > 0, "range of zero bytes");
   expects(elem > 0, "range with zero element size");
   expects(bytes % elem == 0, "range must hold whole elements");
-  // The fast path requires elements that never straddle a cacheline
-  // (element size divides the line and the base is element-aligned);
-  // anything else decomposes to the reference loop — still exact.
-  if (!cfg_.bulk_fast_path || line_bytes_ % elem != 0 || addr % elem != 0) {
-    range_element_loop(addr, bytes, elem, kind);
-    return;
-  }
-  BulkAcc acc;
-  std::uint64_t a = addr;
-  const std::uint64_t end = addr + bytes;
-  while (a < end) {
-    const std::uint64_t line_start = a & ~line_mask_;
-    const std::uint64_t seg_end = std::min(end, line_start + line_bytes_);
-    const std::uint64_t k = (seg_end - a) / elem;  // elements in this line
-    bool ok = false;
-    switch (kind) {
-      case RangeKind::kLoad:
-        ok = line_run_fast(line_start, k, 0, /*first_is_store=*/false, acc);
-        break;
-      case RangeKind::kStore:
-        ok = line_run_fast(line_start, 0, k, /*first_is_store=*/true, acc);
-        break;
-      case RangeKind::kRmw:
-        ok = line_run_fast(line_start, k, k, /*first_is_store=*/false, acc);
-        break;
-      case RangeKind::kStoreLoad:
-        ok = line_run_fast(line_start, k, k, /*first_is_store=*/true, acc);
-        break;
-    }
-    if (!ok) {  // epoch boundary inside the run: exact access-by-access replay
-      flush_bulk(acc);
-      switch (kind) {
-        case RangeKind::kLoad:
-          for (std::uint64_t i = 0; i < k; ++i) access_one(line_start, false);
-          break;
-        case RangeKind::kStore:
-          for (std::uint64_t i = 0; i < k; ++i) access_one(line_start, true);
-          break;
-        case RangeKind::kRmw:
-          for (std::uint64_t i = 0; i < k; ++i) {
-            access_one(line_start, false);
-            access_one(line_start, true);
-          }
-          break;
-        case RangeKind::kStoreLoad:
-          for (std::uint64_t i = 0; i < k; ++i) {
-            access_one(line_start, true);
-            access_one(line_start, false);
-          }
-          break;
-      }
-    }
-    a = seg_end;
-  }
-  flush_bulk(acc);
+  if (trace_sink_) trace_sink_->on_range(kind, addr, bytes, elem);
+  using Op = StreamLane::Op;
+  // kind 0 load, 1 store, 2 rmw: one lane; 3 store_load: a store lane then
+  // a load lane on the same address.
+  constexpr Op kFirst[] = {Op::kLoad, Op::kStore, Op::kRmw, Op::kStore};
+  const StreamLane lanes[] = {{addr, elem, elem, kFirst[kind]}, {addr, elem, elem, Op::kLoad}};
+  stream_lanes(lanes, kind == 3 ? 2 : 1, bytes / elem);
 }
 
 void Engine::load_range(std::uint64_t addr, std::uint64_t bytes, std::uint32_t elem_bytes) {
-  if (trace_sink_) trace_sink_->on_range(0, addr, bytes, elem_bytes);
-  range_access(addr, bytes, elem_bytes, RangeKind::kLoad);
+  range_call(0, addr, bytes, elem_bytes);
 }
 void Engine::store_range(std::uint64_t addr, std::uint64_t bytes, std::uint32_t elem_bytes) {
-  if (trace_sink_) trace_sink_->on_range(1, addr, bytes, elem_bytes);
-  range_access(addr, bytes, elem_bytes, RangeKind::kStore);
+  range_call(1, addr, bytes, elem_bytes);
 }
 void Engine::rmw_range(std::uint64_t addr, std::uint64_t bytes, std::uint32_t elem_bytes) {
-  if (trace_sink_) trace_sink_->on_range(2, addr, bytes, elem_bytes);
-  range_access(addr, bytes, elem_bytes, RangeKind::kRmw);
+  range_call(2, addr, bytes, elem_bytes);
 }
 void Engine::store_load_range(std::uint64_t addr, std::uint64_t bytes,
                               std::uint32_t elem_bytes) {
-  if (trace_sink_) trace_sink_->on_range(3, addr, bytes, elem_bytes);
-  range_access(addr, bytes, elem_bytes, RangeKind::kStoreLoad);
+  range_call(3, addr, bytes, elem_bytes);
 }
 
-void Engine::strided_access(std::uint64_t addr, std::uint64_t count, std::uint64_t stride,
-                            std::uint32_t elem, bool is_store) {
+void Engine::strided_call(bool is_store, std::uint64_t addr, std::uint64_t count,
+                          std::uint64_t stride, std::uint32_t elem) {
   expects(count > 0, "strided range of zero elements");
   expects(elem > 0, "strided range with zero element size");
   expects(stride > 0, "strided range with zero stride");
-  if (!cfg_.bulk_fast_path || line_bytes_ % elem != 0 || addr % elem != 0 ||
-      stride % elem != 0) {
-    for (std::uint64_t k = 0; k < count; ++k) access_span(addr + k * stride, elem, is_store);
-    return;
-  }
-  // Elements are line-contained; group consecutive same-line elements into
-  // runs (stride < line keeps several elements per line, stride >= line
-  // makes every run a single access).
-  BulkAcc acc;
-  std::uint64_t run_line = ~0ULL;
-  std::uint64_t run_k = 0;
-  const auto emit = [&](std::uint64_t line, std::uint64_t k) {
-    const bool ok = is_store ? line_run_fast(line, 0, k, true, acc)
-                             : line_run_fast(line, k, 0, false, acc);
-    if (!ok) {
-      flush_bulk(acc);
-      for (std::uint64_t i = 0; i < k; ++i) access_one(line, is_store);
-    }
-  };
-  for (std::uint64_t k = 0; k < count; ++k) {
-    const std::uint64_t line = (addr + k * stride) & ~line_mask_;
-    if (line == run_line) {
-      ++run_k;
-      continue;
-    }
-    if (run_k != 0) emit(run_line, run_k);
-    run_line = line;
-    run_k = 1;
-  }
-  if (run_k != 0) emit(run_line, run_k);
-  flush_bulk(acc);
+  if (trace_sink_) trace_sink_->on_strided(is_store, addr, count, stride, elem);
+  const StreamLane::Op op = is_store ? StreamLane::Op::kStore : StreamLane::Op::kLoad;
+  const StreamLane lane{addr, stride, elem, op};
+  stream_lanes(&lane, 1, count);
 }
 
 void Engine::load_strided(std::uint64_t addr, std::uint64_t count, std::uint64_t stride_bytes,
                           std::uint32_t elem_bytes) {
-  if (trace_sink_) trace_sink_->on_strided(false, addr, count, stride_bytes, elem_bytes);
-  strided_access(addr, count, stride_bytes, elem_bytes, /*is_store=*/false);
+  strided_call(false, addr, count, stride_bytes, elem_bytes);
 }
 void Engine::store_strided(std::uint64_t addr, std::uint64_t count, std::uint64_t stride_bytes,
                            std::uint32_t elem_bytes) {
-  if (trace_sink_) trace_sink_->on_strided(true, addr, count, stride_bytes, elem_bytes);
-  strided_access(addr, count, stride_bytes, elem_bytes, /*is_store=*/true);
+  strided_call(true, addr, count, stride_bytes, elem_bytes);
 }
 
-void Engine::pair_range_access(std::uint64_t a, std::uint32_t elem_a, std::uint64_t b,
-                               std::uint32_t elem_b, std::uint64_t count, bool is_store) {
+void Engine::pair_call(bool is_store, std::uint64_t a, std::uint32_t elem_a, std::uint64_t b,
+                       std::uint32_t elem_b, std::uint64_t count) {
   expects(count > 0, "paired range of zero elements");
   expects(elem_a > 0 && elem_b > 0, "paired range with zero element size");
-  const auto slow_iter = [&](std::uint64_t k) {
-    access_span(a + k * elem_a, elem_a, is_store);
-    access_span(b + k * elem_b, elem_b, is_store);
-  };
-  if (!cfg_.bulk_fast_path || line_bytes_ % elem_a != 0 || a % elem_a != 0 ||
-      line_bytes_ % elem_b != 0 || b % elem_b != 0) {
-    for (std::uint64_t k = 0; k < count; ++k) slow_iter(k);
-    return;
-  }
-  BulkAcc acc;
-  std::uint64_t k = 0;
-  while (k < count) {
-    const std::uint64_t addr_a = a + k * elem_a;
-    const std::uint64_t addr_b = b + k * elem_b;
-    const std::uint64_t line_a = addr_a & ~line_mask_;
-    const std::uint64_t line_b = addr_b & ~line_mask_;
-    // Iterations both streams spend in their current lines (elements are
-    // line-contained and element-aligned, so these divide exactly).
-    const std::uint64_t in_a = (line_a + line_bytes_ - addr_a) / elem_a;
-    const std::uint64_t in_b = (line_b + line_bytes_ - addr_b) / elem_b;
-    const std::uint64_t n = std::min({in_a, in_b, count - k});
-    const std::uint64_t room = cfg_.epoch_accesses - epoch_demand_accesses_;
-    if (2 * n >= room || !hierarchy_.l1_contains(line_a) ||
-        !hierarchy_.l1_contains(line_b)) {
-      // Epoch boundary nearby or a line not yet in L1: run one iteration
-      // through the exact element-wise path (which performs any fills and
-      // closes the epoch at the precise access), then re-derive the window.
-      flush_bulk(acc);
-      slow_iter(k);
-      ++k;
-      continue;
-    }
-    // Both lines are L1-resident: all 2n accesses are hits, applied as one
-    // interleaved run (A then B per iteration; B's line holds the final
-    // LRU tick, exactly as the element-wise sequence would leave it).
-    hierarchy_.l1_pair_run(line_a, line_b, is_store, n);
-    if (is_store) {
-      acc.stores += 2 * n;
-    } else {
-      acc.loads += 2 * n;
-    }
-    epoch_demand_accesses_ += 2 * n;
-    k += n;
-  }
-  flush_bulk(acc);
+  if (trace_sink_) trace_sink_->on_pair(is_store, a, elem_a, b, elem_b, count);
+  const StreamLane::Op op = is_store ? StreamLane::Op::kStore : StreamLane::Op::kLoad;
+  const StreamLane lanes[] = {{a, elem_a, elem_a, op}, {b, elem_b, elem_b, op}};
+  stream_lanes(lanes, 2, count);
+}
+
+void Engine::load_pair_range(std::uint64_t a, std::uint32_t elem_a, std::uint64_t b,
+                             std::uint32_t elem_b, std::uint64_t count) {
+  pair_call(false, a, elem_a, b, elem_b, count);
+}
+void Engine::store_pair_range(std::uint64_t a, std::uint32_t elem_a, std::uint64_t b,
+                              std::uint32_t elem_b, std::uint64_t count) {
+  pair_call(true, a, elem_a, b, elem_b, count);
 }
 
 void Engine::stream_range(const StreamLane* lanes, std::size_t num_lanes,
                           std::uint64_t count) {
   expects(num_lanes > 0, "stream_range without lanes");
   expects(count > 0, "stream_range of zero iterations");
-  if (trace_sink_) trace_sink_->on_stream(lanes, num_lanes, count);
   for (std::size_t i = 0; i < num_lanes; ++i)
     expects(lanes[i].op == StreamLane::Op::kFlops ||
                 (lanes[i].elem > 0 && lanes[i].stride > 0),
             "stream lane with zero element size or stride");
+  if (trace_sink_) trace_sink_->on_stream(lanes, num_lanes, count);
+  stream_lanes(lanes, num_lanes, count);
+}
+
+void Engine::stream_lanes(const StreamLane* lanes, std::size_t num_lanes,
+                          std::uint64_t count) {
+  // The reference emission: one iteration of the documented element loop.
+  // access_span, not load()/store(): the public call already fired the
+  // trace sink once; its decomposition must not record again.
   const auto emit_iter = [&](std::uint64_t k) {
     for (std::size_t i = 0; i < num_lanes; ++i) {
       const StreamLane& ln = lanes[i];
@@ -455,9 +291,12 @@ void Engine::stream_range(const StreamLane* lanes, std::size_t num_lanes,
   for (std::size_t i = 0; fast && i < num_lanes; ++i) {
     const StreamLane& ln = lanes[i];
     if (ln.op == StreamLane::Op::kFlops) continue;  // no address constraints
-    // Line-contained, element-aligned lanes only (same rule as the other
-    // range entry points); anything else runs the reference emission.
-    if (line_bytes_ % ln.elem != 0 || ln.base % ln.elem != 0 || ln.stride % ln.elem != 0)
+    // Line-contained, element-aligned lanes only: an element that could
+    // straddle a cacheline runs the reference emission. The line size is a
+    // power of two, so the element size divides it iff it is one too.
+    const std::uint64_t elem_mask = ln.elem - 1;
+    if (ln.elem > line_bytes_ || (ln.elem & elem_mask) != 0 ||
+        ((ln.base | ln.stride) & elem_mask) != 0)
       fast = false;
   }
   if (!fast) {
@@ -465,45 +304,57 @@ void Engine::stream_range(const StreamLane* lanes, std::size_t num_lanes,
     return;
   }
 
-  // Per-iteration access count and each lane's final-access position within
-  // one iteration (an rmw lane's store is its last access). Flops lanes
-  // perform no access and never touch the LRU clock — batching their flops
-  // is exact because pending flops are only read at epoch close, and the
-  // window never crosses one (total < room below).
-  std::uint32_t pos[kMaxLanes];
+  // Per-iteration totals, and the batch state of each access lane (flops
+  // lanes perform no access and never touch the LRU clock — batching their
+  // flops is exact because pending flops are only read at epoch close, and
+  // a window never crosses one: total < room below).
+  struct AccessLane {
+    std::uint64_t base;
+    std::uint64_t stride;
+    std::uint32_t stride_shift;  ///< log2(stride) when a power of two, else 64
+    std::uint64_t line;  ///< current line (valid once end > 0)
+    std::uint64_t end;   ///< iteration at which the lane leaves `line`; 0: unresolved
+    std::size_t handle;  ///< L1 handle of `line` (valid while handles_valid)
+    std::uint32_t last_access;  ///< 1-based position of its final access in an iteration
+    bool dirties;               ///< any store (an rmw lane's store is its last access)
+  };
+  AccessLane al[kMaxLanes];
+  std::size_t num_al = 0;
   std::uint32_t accesses_per_iter = 0;
+  std::uint64_t loads_per_iter = 0;
+  std::uint64_t stores_per_iter = 0;
+  std::uint64_t flops_per_iter = 0;
   for (std::size_t i = 0; i < num_lanes; ++i) {
-    if (lanes[i].op == StreamLane::Op::kFlops) {
-      pos[i] = 0;
+    const StreamLane& ln = lanes[i];
+    if (ln.op == StreamLane::Op::kFlops) {
+      flops_per_iter += ln.base;
       continue;
     }
-    accesses_per_iter += lanes[i].op == StreamLane::Op::kRmw ? 2 : 1;
-    pos[i] = accesses_per_iter;
+    const bool loads = ln.op != StreamLane::Op::kStore;
+    const bool stores = ln.op != StreamLane::Op::kLoad;
+    loads_per_iter += loads;
+    stores_per_iter += stores;
+    accesses_per_iter += loads + stores;
+    const std::uint32_t shift =
+        std::has_single_bit(ln.stride) ? static_cast<std::uint32_t>(std::countr_zero(ln.stride))
+                                       : 64;
+    al[num_al++] = AccessLane{ln.base, ln.stride, shift, 0, 0, 0, accesses_per_iter, stores};
   }
 
-  // Steady-state fast-forward (cfg.fast_forward): once two consecutive
-  // in-call epochs close with bit-identical counter deltas, identical
-  // records, and the same iteration gap, the stream has settled — cache
-  // behaviour is periodic with the epoch, so the remaining whole epochs are
-  // synthesized in closed form instead of simulated. Cache *contents* stay
-  // at their pre-jump state (the next window re-resolves and re-fills);
-  // that staleness is the mode's documented ≤0.1% tolerance, which is why
-  // it is off by default and never golden-gated.
+  // Steady-state fast-forward (off by default): the detector state is
+  // reset only when armed, so calls without it pay nothing for it.
   const bool ff_on = cfg_.fast_forward && ff_eligible();
-  const std::uint64_t ff_entry_epochs = epochs_.size();
-  std::uint64_t ff_seen_epochs = ff_entry_epochs;
-  std::uint64_t ff_close_k = 0;
-  cachesim::HwCounters ff_close_base = epoch_base_;
-  std::uint64_t ff_prev_gap = 0;
-  cachesim::HwCounters ff_prev_delta{};
-  bool ff_have_prev = false;
+  if (ff_on) {
+    ff_watch_ = FfWatch{};
+    ff_watch_.entry_epochs = ff_watch_.seen_epochs = epochs_.size();
+    ff_watch_.close_base = epoch_base_;
+  }
 
-  std::uint64_t lane_line[kMaxLanes];
-  std::size_t handle[kMaxLanes];
-  // Lanes whose line changed this window, gathered so their probes resolve
-  // in one batched pass over the L1 tag planes (the vectorized scans issue
-  // back-to-back). Lanes with an unchanged line keep their handle: the
-  // previous window ran the fast path, so no fill has moved anything.
+  // Lanes that entered a new line this window (or all lanes after a fill),
+  // gathered so their probes resolve in one batched pass over the L1 tag
+  // planes (the vectorized scans issue back-to-back). Other lanes keep
+  // their handle: the previous window ran the fast path, so no fill has
+  // moved anything.
   std::uint64_t probe_line[kMaxLanes];
   std::uint32_t probe_lane[kMaxLanes];
   std::size_t probe_handle[kMaxLanes];
@@ -511,54 +362,33 @@ void Engine::stream_range(const StreamLane* lanes, std::size_t num_lanes,
   BulkAcc acc;
   std::uint64_t k = 0;
   while (k < count) {
-    if (ff_on && epochs_.size() != ff_seen_epochs) {
+    if (ff_on && epochs_.size() != ff_watch_.seen_epochs) {
       // An epoch closed since the last loop head (inside emit_iter, so the
-      // bulk accumulator was already flushed). epoch_base_ is the counter
-      // snapshot at that close: the delta since the previous close is the
-      // epoch's exact signature.
-      const std::uint64_t gap = k - ff_close_k;
-      const cachesim::HwCounters delta = epoch_base_.delta_since(ff_close_base);
-      // Only a single close with a full in-call epoch behind it yields a
-      // usable (gap, delta) signature; the partial epoch in flight at call
-      // entry never participates.
-      if (epochs_.size() == ff_seen_epochs + 1 && ff_seen_epochs > ff_entry_epochs &&
-          gap > 0) {
-        if (ff_have_prev && gap == ff_prev_gap && counters_equal(delta, ff_prev_delta) &&
-            epochs_repeat(epochs_.back(), epochs_[epochs_.size() - 2])) {
-          const std::uint64_t iters_left = count - k;
-          if (iters_left > 2 * gap) {
-            const std::uint64_t reps = iters_left / gap - 1;  // keep a live tail
-            ff_synthesize(delta, reps);
-            k += reps * gap;
-            handles_valid = false;
-          }
-          ff_have_prev = false;  // require fresh evidence before jumping again
-        } else {
-          ff_prev_gap = gap;
-          ff_prev_delta = delta;
-          ff_have_prev = true;
-        }
-      } else {
-        ff_have_prev = false;
+      // bulk accumulator was already flushed).
+      const std::uint64_t jumped = ff_observe(k, count);
+      if (jumped > 0) {
+        k += jumped;
+        handles_valid = false;
       }
-      ff_seen_epochs = epochs_.size();
-      ff_close_k = k;
-      ff_close_base = epoch_base_;
     }
     // Window: iterations every lane spends inside its current cacheline.
     std::uint64_t n = count - k;
     std::size_t num_probes = 0;
-    for (std::size_t i = 0; i < num_lanes; ++i) {
-      const StreamLane& ln = lanes[i];
-      if (ln.op == StreamLane::Op::kFlops) continue;
-      const std::uint64_t addr = ln.base + k * ln.stride;
-      const std::uint64_t line = addr & ~line_mask_;
-      const std::uint64_t in_line = (line + line_bytes_ - 1 - addr) / ln.stride + 1;
-      n = std::min(n, in_line);
-      if (!handles_valid || line != lane_line[i]) {
-        lane_line[i] = line;
-        probe_line[num_probes] = line;
-        probe_lane[num_probes] = static_cast<std::uint32_t>(i);
+    for (std::size_t j = 0; j < num_al; ++j) {
+      AccessLane& l = al[j];
+      const bool new_line = k >= l.end;
+      if (new_line) {
+        const std::uint64_t addr = l.base + k * l.stride;
+        l.line = addr & ~line_mask_;
+        // Iterations left in the line: the bytes after addr in it, over the
+        // stride (a shift for the usual power-of-two strides).
+        const std::uint64_t rest = l.line + line_bytes_ - 1 - addr;
+        l.end = k + 1 + (l.stride_shift < 64 ? rest >> l.stride_shift : rest / l.stride);
+      }
+      n = std::min(n, l.end - k);
+      if (new_line || !handles_valid) {
+        probe_line[num_probes] = l.line;
+        probe_lane[num_probes] = static_cast<std::uint32_t>(j);
         ++num_probes;
       }
     }
@@ -567,9 +397,9 @@ void Engine::stream_range(const StreamLane* lanes, std::size_t num_lanes,
     bool any_miss = false;
     if (num_probes > 0) {
       hierarchy_.l1_index_of_batch(probe_line, num_probes, probe_handle);
-      for (std::size_t j = 0; j < num_probes; ++j) {
-        handle[probe_lane[j]] = probe_handle[j];
-        any_miss = any_miss || probe_handle[j] == cachesim::CacheHierarchy::l1_npos;
+      for (std::size_t p = 0; p < num_probes; ++p) {
+        al[probe_lane[p]].handle = probe_handle[p];
+        any_miss = any_miss || probe_handle[p] == cachesim::CacheHierarchy::l1_npos;
       }
     }
     const std::uint64_t total = n * accesses_per_iter;
@@ -586,37 +416,20 @@ void Engine::stream_range(const StreamLane* lanes, std::size_t num_lanes,
       continue;
     }
     // Every access in the window is an L1 hit: apply each lane's net batch
-    // effect. Applying in lane order makes the latest lane win on shared
-    // lines, exactly like the element-wise sequence.
-    if (accesses_per_iter > 0) {
-      const std::uint64_t t_end = hierarchy_.l1_advance_tick(total);
-      for (std::size_t i = 0; i < num_lanes; ++i) {
-        const StreamLane::Op op = lanes[i].op;
-        if (op == StreamLane::Op::kFlops) continue;
-        hierarchy_.l1_touch_at(handle[i], op != StreamLane::Op::kLoad,
-                               t_end - (accesses_per_iter - pos[i]));
-        if (op != StreamLane::Op::kStore) acc.loads += n;
-        if (op != StreamLane::Op::kLoad) acc.stores += n;
-      }
-    }
-    for (std::size_t i = 0; i < num_lanes; ++i)
-      if (lanes[i].op == StreamLane::Op::kFlops) pending_flops_ += n * lanes[i].base;
+    // effect — its line carries the tick of the lane's final access in the
+    // window's last iteration. Applying in lane order makes the latest lane
+    // win on shared lines, exactly like the element-wise sequence.
+    const std::uint64_t t_before = hierarchy_.l1_advance_tick(total) - accesses_per_iter;
+    for (std::size_t j = 0; j < num_al; ++j)
+      hierarchy_.l1_touch_at(al[j].handle, al[j].dirties, t_before + al[j].last_access);
+    acc.loads += n * loads_per_iter;
+    acc.stores += n * stores_per_iter;
+    pending_flops_ += n * flops_per_iter;
     epoch_demand_accesses_ += total;
     handles_valid = true;
     k += n;
   }
   flush_bulk(acc);
-}
-
-void Engine::load_pair_range(std::uint64_t a, std::uint32_t elem_a, std::uint64_t b,
-                             std::uint32_t elem_b, std::uint64_t count) {
-  if (trace_sink_) trace_sink_->on_pair(false, a, elem_a, b, elem_b, count);
-  pair_range_access(a, elem_a, b, elem_b, count, /*is_store=*/false);
-}
-void Engine::store_pair_range(std::uint64_t a, std::uint32_t elem_a, std::uint64_t b,
-                              std::uint32_t elem_b, std::uint64_t count) {
-  if (trace_sink_) trace_sink_->on_pair(true, a, elem_a, b, elem_b, count);
-  pair_range_access(a, elem_a, b, elem_b, count, /*is_store=*/true);
 }
 
 // ---- phases & epochs --------------------------------------------------------
@@ -863,6 +676,47 @@ bool Engine::ff_eligible() const {
   for (const auto b : pending_migration_bytes_)
     if (b != 0) return false;
   return true;
+}
+
+std::uint64_t Engine::ff_observe(std::uint64_t k, std::uint64_t count) {
+  FfWatch& w = ff_watch_;
+  // Once two consecutive in-call epochs close with bit-identical counter
+  // deltas, identical records, and the same iteration gap, the stream has
+  // settled — cache behaviour is periodic with the epoch, so the remaining
+  // whole epochs are synthesized in closed form instead of simulated.
+  // Cache *contents* stay at their pre-jump state (the next window
+  // re-resolves and re-fills); that staleness is the mode's documented
+  // ≤0.1% tolerance, which is why it is off by default and never
+  // golden-gated. epoch_base_ is the counter snapshot at the latest close:
+  // the delta since the previous close is the epoch's exact signature.
+  const std::uint64_t gap = k - w.close_k;
+  const cachesim::HwCounters delta = epoch_base_.delta_since(w.close_base);
+  std::uint64_t jumped = 0;
+  // Only a single close with a full in-call epoch behind it yields a
+  // usable (gap, delta) signature; the partial epoch in flight at call
+  // entry never participates.
+  if (epochs_.size() == w.seen_epochs + 1 && w.seen_epochs > w.entry_epochs && gap > 0) {
+    if (w.have_prev && gap == w.prev_gap && counters_equal(delta, w.prev_delta) &&
+        epochs_repeat(epochs_.back(), epochs_[epochs_.size() - 2])) {
+      const std::uint64_t iters_left = count - k;
+      if (iters_left > 2 * gap) {
+        const std::uint64_t reps = iters_left / gap - 1;  // keep a live tail
+        ff_synthesize(delta, reps);
+        jumped = reps * gap;
+      }
+      w.have_prev = false;  // require fresh evidence before jumping again
+    } else {
+      w.prev_gap = gap;
+      w.prev_delta = delta;
+      w.have_prev = true;
+    }
+  } else {
+    w.have_prev = false;
+  }
+  w.seen_epochs = epochs_.size();
+  w.close_k = k;
+  w.close_base = epoch_base_;
+  return jumped;
 }
 
 void Engine::ff_synthesize(const cachesim::HwCounters& delta, std::uint64_t n) {

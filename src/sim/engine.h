@@ -18,17 +18,21 @@
 // bytes_L/bytes_R formulation.
 //
 // ---- bulk access streams ---------------------------------------------------
-// Element-wise load()/store() is the reference instrumentation; the range
+// Element-wise load()/store() is the reference instrumentation; the bulk
 // API (load_range/store_range/rmw_range/store_load_range, the strided and
-// paired variants) expresses the same access *sequence* declaratively so
-// the engine can execute it on a fast path: runs of consecutive accesses to
-// one cacheline are resolved with a single L1 probe and O(1) state update,
-// and their counter updates accumulate in registers until the batch ends.
-// The fast path is exact — counters, epoch boundaries, page samples, cache
-// and prefetcher state are bit-identical to the element loop each range
-// call documents (an epoch boundary falling inside a run is replayed
-// access-by-access). `EngineConfig::bulk_fast_path = false` forces the
-// reference decomposition; the determinism suite byte-compares the two.
+// paired variants, stream_range) expresses the same access *sequence*
+// declaratively. Every bulk call is a set of lanes advanced in lockstep —
+// a range is one lane, store_load_range and the paired calls are two — and
+// all of them run through one batching kernel: while every lane's current
+// cacheline is L1-resident, whole windows of iterations are applied as one
+// probe per changed line plus O(1) LRU/dirty updates, with counter credit
+// accumulated in registers until the batch ends. Line transitions that
+// miss, and epoch boundaries, run one iteration of the exact element-wise
+// emission and re-probe. The kernel is exact — counters, epoch
+// boundaries, page samples, cache and prefetcher state are bit-identical
+// to the element loop each call documents. `EngineConfig::bulk_fast_path
+// = false` forces that reference emission; the determinism suite
+// byte-compares the two.
 #pragma once
 
 #include <cstdint>
@@ -135,16 +139,16 @@ struct EngineConfig {
   /// everything else follows the overridden system default. Used for the
   /// weighted-interleave experiments (Sec. 2.2, "Low Porting Efforts").
   std::optional<memsim::MemPolicy> default_policy_override;
-  /// When false, every range/strided/paired call decomposes into the
+  /// When false, every bulk call (range/strided/paired/stream) runs the
   /// element-wise loop it documents (bit-identical, slower) — the reference
-  /// path for the fast-path correctness gate.
+  /// path for the batching kernel's correctness gate.
   bool bulk_fast_path = bulk_fast_path_default();
   /// Which per-link delay model runs. `kLoi` (the default) is the closed
   /// form under configured background LoI only, bit-identical to the
   /// pre-queue engine. `kQueue` partitions each link's traffic into demand
   /// and bulk classes that inflate each other's delay (queue_model.h).
   memsim::LinkModelKind link_model = link_model_default();
-  /// Steady-state fast-forward: when a long stream_range call settles into
+  /// Steady-state fast-forward: when a long bulk call settles into
   /// epochs with identical counter deltas and identical epoch records, the
   /// remaining repetitions are advanced in closed form (counters, epoch
   /// records, LRU clocks) instead of simulating every line. Off by default:
@@ -302,6 +306,7 @@ class Engine {
   // ---- bulk access streams -------------------------------------------------
   // Each call is defined by (and bit-identical with) the element-wise loop
   // in its comment; `bytes` must be a whole number of `elem_bytes` elements.
+  // All of them run as 1–2 lanes of stream_range's batching kernel.
 
   /// for (a = addr; a < addr+bytes; a += elem_bytes) load(a, elem_bytes);
   void load_range(std::uint64_t addr, std::uint64_t bytes, std::uint32_t elem_bytes);
@@ -347,10 +352,10 @@ class Engine {
   ///       kRmw:   load(...); store(...)
   ///       kFlops: flops(lane.base)
   ///
-  /// Lanes may target the same array (e.g. a trailing re-store). The fast
-  /// path batches whole iterations while every lane's current cacheline is
-  /// L1-resident, falling back to the exact element-wise emission around
-  /// line transitions, epoch boundaries, and misses.
+  /// Lanes may target the same array (e.g. a trailing re-store). The
+  /// batching kernel applies whole iterations while every lane's current
+  /// cacheline is L1-resident, falling back to the exact element-wise
+  /// emission around line transitions that miss and epoch boundaries.
   void stream_range(const StreamLane* lanes, std::size_t num_lanes, std::uint64_t count);
 
   // ---- phase tagging (the profiler API pf_start/pf_stop of Sec. 3.1) -----
@@ -455,20 +460,15 @@ class Engine {
     std::uint64_t loads = 0;
     std::uint64_t stores = 0;
   };
-  enum class RangeKind : std::uint8_t { kLoad, kStore, kRmw, kStoreLoad };
 
-  /// One demand access to a line-aligned address — the element-wise hot
-  /// path (also the exact replay primitive for batched runs).
-  void access_one(std::uint64_t line_addr, bool is_store) {
-    const auto res = hierarchy_.access(line_addr, is_store);
-    on_demand_access(line_addr, res.level);
-  }
-  /// The line loop behind load()/store(), shared with the engine's internal
-  /// range decompositions (which must not re-fire the trace sink).
+  /// The element-wise hot path: one demand access per line the span
+  /// touches. Behind load()/store() and the batching kernel's reference
+  /// emission (which must not re-fire the trace sink).
   void access_span(std::uint64_t addr, std::uint32_t size, bool is_store) {
     const std::uint64_t first = addr & ~line_mask_;
     const std::uint64_t last = (addr + size - 1) & ~line_mask_;
-    for (std::uint64_t l = first; l <= last; l += line_bytes_) access_one(l, is_store);
+    for (std::uint64_t l = first; l <= last; l += line_bytes_)
+      on_demand_access(l, hierarchy_.access(l, is_store).level);
   }
   void on_demand_access(std::uint64_t addr, cachesim::HitLevel level) {
     // Page-access sampling fires at L1-miss granularity — where PEBS
@@ -496,21 +496,19 @@ class Engine {
     ++*hist_memo_count_;
   }
 
-  void range_access(std::uint64_t addr, std::uint64_t bytes, std::uint32_t elem,
-                    RangeKind kind);
-  void strided_access(std::uint64_t addr, std::uint64_t count, std::uint64_t stride,
-                      std::uint32_t elem, bool is_store);
-  void pair_range_access(std::uint64_t a, std::uint32_t elem_a, std::uint64_t b,
-                         std::uint32_t elem_b, std::uint64_t count, bool is_store);
-  /// Reference decomposition of a range call (also the bulk_fast_path=false
-  /// path): the element-wise loop the public API documents.
-  void range_element_loop(std::uint64_t addr, std::uint64_t bytes, std::uint32_t elem,
-                          RangeKind kind);
-  /// Batches a run of loads+stores consecutive accesses to one line.
-  /// Returns false when the epoch boundary falls inside the run — the
-  /// caller must flush `acc` and replay the run access-by-access.
-  bool line_run_fast(std::uint64_t line_addr, std::uint64_t loads, std::uint64_t stores,
-                     bool first_is_store, BulkAcc& acc);
+  /// Shared bodies of the public bulk wrappers: validate, fire the call's
+  /// trace hook once, then run its lanes through stream_lanes. `kind` is
+  /// the TraceSink::on_range code.
+  void range_call(std::uint8_t kind, std::uint64_t addr, std::uint64_t bytes,
+                  std::uint32_t elem);
+  void strided_call(bool is_store, std::uint64_t addr, std::uint64_t count,
+                    std::uint64_t stride, std::uint32_t elem);
+  void pair_call(bool is_store, std::uint64_t a, std::uint32_t elem_a, std::uint64_t b,
+                 std::uint32_t elem_b, std::uint64_t count);
+  /// The batching kernel behind every bulk call (stream_range's documented
+  /// loop over validated lanes). Never fires the trace sink; with
+  /// bulk_fast_path off it is exactly the element-wise reference emission.
+  void stream_lanes(const StreamLane* lanes, std::size_t num_lanes, std::uint64_t count);
   void flush_bulk(BulkAcc& acc) {
     if (acc.loads != 0 || acc.stores != 0) {
       hierarchy_.credit_l1_run(acc.loads, acc.stores);
@@ -526,6 +524,22 @@ class Engine {
   /// True when the engine state admits closed-form epoch synthesis: static
   /// links, no epoch callback, no migration charges in flight.
   [[nodiscard]] bool ff_eligible() const;
+  /// Steady-state detector of the running bulk call (ff_watch_): epoch
+  /// counts at call entry and at the last observed close, and the previous
+  /// close's (iteration gap, counter delta) signature.
+  struct FfWatch {
+    std::uint64_t entry_epochs = 0;
+    std::uint64_t seen_epochs = 0;
+    std::uint64_t close_k = 0;  ///< iteration index at the last close
+    cachesim::HwCounters close_base;
+    std::uint64_t prev_gap = 0;
+    cachesim::HwCounters prev_delta;
+    bool have_prev = false;
+  };
+  /// Called by the bulk kernel at iteration `k` of `count` after an epoch
+  /// closed: updates ff_watch_ and, once two consecutive epochs repeat,
+  /// synthesizes whole epochs. Returns the iterations skipped.
+  std::uint64_t ff_observe(std::uint64_t k, std::uint64_t count);
   /// Appends `n` copies of the last epoch record (advancing start times),
   /// folds `n * delta` into the hardware counters and LRU clocks, and
   /// shifts the epoch baseline so the live partial epoch stays exact.
@@ -576,6 +590,9 @@ class Engine {
 
   TraceSink* trace_sink_ = nullptr;
   std::uint64_t ff_skipped_epochs_ = 0;
+  /// Kept as a member, not a kernel local, so bulk calls with fast-forward
+  /// off never initialize its two counter snapshots.
+  FfWatch ff_watch_;
 
   std::vector<EpochRecord> epochs_;
   std::vector<PhaseRecord> phases_;

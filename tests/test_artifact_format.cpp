@@ -8,11 +8,15 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <limits>
+#include <stdexcept>
 #include <string>
 
 #include "common/artifact_format.h"
 #include "common/rng.h"
+#include "core/sweep.h"
+#include "fleet/fleet.h"
 
 namespace memdis {
 namespace {
@@ -102,6 +106,27 @@ TEST(JsonEscape, EscapesQuotesBackslashesAndControls) {
   EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
   EXPECT_EQ(json_escape(std::string("a\nb\tc")), "a\\u000ab\\u0009c");
   EXPECT_EQ(json_escape(std::string(1, '\0')), "\\u0000");
+}
+
+// A full disk must surface as an error, not as a truncated artifact and
+// exit 0: every artifact writer closes its stream and checks it. Writes to
+// /dev/full open fine and fail with ENOSPC once the buffer is flushed.
+TEST(ArtifactFile, WritersThrowOnAFullDevice) {
+  if (!std::ofstream("/dev/full")) GTEST_SKIP() << "no /dev/full on this platform";
+  EXPECT_THROW(write_artifact_file("/dev/full", [](std::ostream& os) { os << "x\n"; }),
+               std::runtime_error);
+  core::SweepResult sweep;
+  sweep.scenario = "full-disk";
+  EXPECT_THROW(sweep.write_csv_file("/dev/full"), std::runtime_error);
+  EXPECT_THROW(sweep.write_json_file("/dev/full"), std::runtime_error);
+  fleet::FleetResult fleet;
+  EXPECT_THROW(fleet.write_csv_file("/dev/full"), std::runtime_error);
+  EXPECT_THROW(fleet.write_json_file("/dev/full"), std::runtime_error);
+}
+
+TEST(ArtifactFile, UnopenablePathThrows) {
+  EXPECT_THROW(write_artifact_file("/nonexistent-dir/x.csv", [](std::ostream&) {}),
+               std::runtime_error);
 }
 
 }  // namespace

@@ -62,6 +62,29 @@ TEST(SimulateRun, InvalidInputsViolateContract) {
   EXPECT_THROW((void)simulate_run(bad, 10.0, 60.0, 1), contract_violation);
 }
 
+// Pins the three interval-loop entry points to exact wall times for one
+// fixed profile, so a refactor of their shared loop cannot drift by an ulp
+// or shift the per-link RNG stream (every link is drawn each interval, even
+// those without a curve).
+TEST(SimulateRun, IntervalLoopsReproducePinnedValues) {
+  JobProfile job;
+  job.app = "pinned";
+  job.base_runtime_s = 487.5;
+  job.sensitivity = {{0, 1.0}, {10, 0.97}, {25, 0.9}, {50, 0.83}};
+  job.link_sensitivity = {
+      {},  // node tier: no link, still drawn
+      {{0.0, 1.0}, {20.0, 0.93}, {50.0, 0.78}},
+      {},  // unused pool: drawn, never applied
+      {{0.0, 1.0}, {50.0, 0.96}},
+  };
+  memsim::LoiSchedule schedule;
+  schedule.set(1, memsim::LoiWaveform::square(3, 0.34, 45.0, 5.0));
+  schedule.set(3, memsim::LoiWaveform::ramp(4, 0.0, 40.0));
+  EXPECT_EQ(simulate_run(job, 50.0, 37.0, 11), 521.10843146129093);
+  EXPECT_EQ(simulate_run_per_link(job, {0.0, 50.0, 30.0, 25.0}, 37.0, 11), 536.76167207976596);
+  EXPECT_EQ(simulate_run_scheduled(job, schedule, 37.0), 543.22671545433525);
+}
+
 // ---------- co-location comparison ---------------------------------------------------
 
 TEST(CoLocation, AwareSchedulerImprovesMeanAndTail) {

@@ -319,17 +319,26 @@ TEST(Engine, FreeOutOfAllocationOrderMarksTheRightAllocations) {
 // ---------- bulk access streams ----------------------------------------------
 
 // Drives every bulk entry point through a fixed access script on two
-// engines — fast path on vs. the element-wise reference decomposition —
-// and requires the full observable state (all hardware counters, epoch
-// count, simulated time) to match bit-for-bit. A small epoch quantum
-// forces boundaries *inside* batched runs, covering the exact-replay path.
+// engines — the batching kernel on vs. the element-wise reference emission
+// — and requires the full observable state (all hardware counters, the
+// cache levels' tags, LRU ticks and dirty bits, epoch count, simulated
+// time, page samples) to match bit-for-bit. It runs under three inputs: a
+// small epoch quantum that forces boundaries *inside* batched windows, a
+// one-access quantum that closes an epoch at every access, and a tiny L1
+// on which same-set strided lanes keep evicting each other.
 TEST(BulkApi, FastPathBitIdenticalToElementWise) {
-  const auto run = [](bool fast) {
+  struct Input {
+    std::uint64_t epoch_accesses;
+    bool tiny_l1;
+    std::size_t n;  // elements per array
+  };
+  const auto run = [](const Input& in, bool fast) {
     EngineConfig cfg;
-    cfg.epoch_accesses = 1000;  // many boundaries inside runs
+    cfg.epoch_accesses = in.epoch_accesses;
     cfg.bulk_fast_path = fast;
+    if (in.tiny_l1) cfg.hierarchy.l1 = cachesim::CacheConfig{1024, 2, 64};  // 8 sets x 2 ways
     Engine eng(cfg);
-    constexpr std::size_t kN = 6000;
+    const std::size_t kN = in.n;
     Array<double> a(eng, kN);
     Array<double> b(eng, kN);
     Array<std::uint32_t> idx(eng, kN);
@@ -337,10 +346,21 @@ TEST(BulkApi, FastPathBitIdenticalToElementWise) {
     eng.store_range(b.addr_of(0), kN * 8, 8);
     eng.rmw_range(a.addr_of(0), kN * 8, 8);
     eng.store_load_range(b.addr_of(0), kN * 8, 8);
+    for (const std::uint32_t elem : {1u, 2u, 4u, 16u}) {
+      const std::uint64_t bytes = kN * 8 / 16 * 16;
+      eng.load_range(a.addr_of(0), bytes, elem);
+      eng.store_range(b.addr_of(0), bytes, elem);
+      eng.rmw_range(a.addr_of(0) + 64, bytes - 64, elem);
+      eng.store_load_range(b.addr_of(0), bytes, elem);
+      eng.load_pair_range(a.addr_of(0), elem, b.addr_of(0), elem, bytes / 16);
+    }
     eng.load_strided(a.addr_of(0), kN / 64, 64 * 8, 8);       // column sweep
     eng.store_strided(b.addr_of(0), kN / 4, 4 * 8, 8);        // short stride
+    eng.load_strided(a.addr_of(0), kN / 128, 2 * 64, 16);     // stride = 2 lines
     eng.load_pair_range(idx.addr_of(0), 4, a.addr_of(0), 8, kN);
     eng.store_pair_range(idx.addr_of(0), 4, b.addr_of(0), 8, kN);
+    eng.load_pair_range(a.addr_of(0), 8, a.addr_of(0), 8, kN);    // a == b
+    eng.store_pair_range(b.addr_of(0), 4, b.addr_of(0), 4, kN);   // a == b, same elem
     using Lane = Engine::StreamLane;
     const Lane lanes[] = {
         {a.addr_of(0), 8, 8, Lane::Op::kLoad},
@@ -350,17 +370,38 @@ TEST(BulkApi, FastPathBitIdenticalToElementWise) {
         {b.addr_of(0), 8, 8, Lane::Op::kStore},  // same array twice
     };
     eng.stream_range(lanes, 5, kN / 8);
+    // Three lanes striding whole L1 set periods: on the tiny L1 they share
+    // one 2-way set and evict each other every window.
+    const Lane same_set[] = {
+        {a.addr_of(0), 1024, 8, Lane::Op::kLoad},
+        {b.addr_of(0), 1024, 8, Lane::Op::kRmw},
+        {a.addr_of(0) + 512, 1024, 8, Lane::Op::kStore},
+    };
+    eng.stream_range(same_set, 3, kN * 8 / 1024 - 1);
     eng.load_range(a.addr_of(0), kN * 8 / 48 * 48, 48);  // straddling elems: fallback
+    const auto caches = eng.hierarchy().snapshot_caches();
     eng.finish();
     return std::tuple{eng.counters(), eng.epochs().size(), eng.elapsed_seconds(),
-                      eng.page_access_histogram()};
+                      eng.page_access_histogram(), caches};
   };
-  const auto [cf, ef, tf, hf] = run(true);
-  const auto [cs, es, ts, hs] = run(false);
-  EXPECT_EQ(0, std::memcmp(&cf, &cs, sizeof(cf)));
-  EXPECT_EQ(ef, es);
-  EXPECT_EQ(tf, ts);
-  EXPECT_EQ(hf, hs);
+  const auto same_level = [](const cachesim::SetAssocCache::Snapshot& x,
+                             const cachesim::SetAssocCache::Snapshot& y) {
+    return x.tick == y.tick && x.tag == y.tag && x.lru == y.lru && x.flags == y.flags;
+  };
+  const Input inputs[] = {{1000, false, 6000}, {1, false, 600}, {1000, true, 6000}};
+  for (const Input& in : inputs) {
+    SCOPED_TRACE(testing::Message() << "epoch_accesses=" << in.epoch_accesses
+                                    << " tiny_l1=" << in.tiny_l1);
+    const auto [cf, ef, tf, hf, sf] = run(in, true);
+    const auto [cs, es, ts, hs, ss] = run(in, false);
+    EXPECT_EQ(0, std::memcmp(&cf, &cs, sizeof(cf)));
+    EXPECT_EQ(ef, es);
+    EXPECT_EQ(tf, ts);
+    EXPECT_EQ(hf, hs);
+    EXPECT_TRUE(same_level(sf.l1, ss.l1));
+    EXPECT_TRUE(same_level(sf.l2, ss.l2));
+    EXPECT_TRUE(same_level(sf.l3, ss.l3));
+  }
 }
 
 // The range calls must count exactly like the loops they document.
