@@ -37,7 +37,6 @@ int main() {
     job.app = wl->name();
     job.base_runtime_s = baseline.elapsed_s * scale_to_job;
     job.sensitivity = l3.sensitivity;
-    job.induced_ic = l3.induced.ic_mean;
 
     const auto cmp = sched::compare_schedulers(job, cfg);
     const auto add = [&](const char* sched_name, const sched::CoLocationOutcome& o) {

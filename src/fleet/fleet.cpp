@@ -35,10 +35,8 @@ double jittered_work_s(const JobClass& cls, std::uint64_t seed, double jitter) {
 }
 
 /// LoI (%) that `data_gbps` of co-runner demand traffic adds on a link —
-/// the same expression the pairwise shared-queue model uses for the
-/// co-runner's offered stream (sched/colocation.cpp) and QueueModel uses
-/// for the bulk class: data rate, protocol overhead applied, as % of the
-/// link's traffic capacity.
+/// the expression QueueModel uses for the bulk class: data rate, protocol
+/// overhead applied, as % of the link's traffic capacity.
 double demand_loi_of(const memsim::FabricLinkSpec& link, double data_gbps) {
   return 100.0 * link.protocol_overhead * data_gbps / link.traffic_capacity_gbps;
 }
@@ -96,7 +94,6 @@ std::vector<JobClass> default_job_classes() {
   classes[0].profile.offered_gbps = 22.0;
   classes[0].profile.sensitivity = {{0, 1.0},    {25, 0.92},  {50, 0.80},  {100, 0.62},
                                     {200, 0.45}, {400, 0.30}, {800, 0.22}, {2000, 0.15}};
-  classes[0].profile.induced_ic = 1.6;
   classes[0].bulk_gbps = 0.0;
   classes[0].pool_demand_gb = 96.0;
   classes[0].nodes = 4;
@@ -107,7 +104,6 @@ std::vector<JobClass> default_job_classes() {
   classes[1].profile.offered_gbps = 9.0;
   classes[1].profile.sensitivity = {{0, 1.0},    {50, 0.95},  {100, 0.88}, {200, 0.76},
                                     {400, 0.62}, {800, 0.50}, {2000, 0.42}};
-  classes[1].profile.induced_ic = 1.2;
   classes[1].bulk_gbps = 1.0;
   classes[1].pool_demand_gb = 48.0;
   classes[1].nodes = 2;
@@ -118,7 +114,6 @@ std::vector<JobClass> default_job_classes() {
   classes[2].profile.offered_gbps = 4.0;
   classes[2].profile.sensitivity = {
       {0, 1.0}, {100, 0.97}, {400, 0.90}, {1000, 0.82}, {2000, 0.75}};
-  classes[2].profile.induced_ic = 1.1;
   classes[2].bulk_gbps = 6.0;
   classes[2].pool_demand_gb = 24.0;
   classes[2].nodes = 1;
@@ -220,7 +215,7 @@ FleetResult run_fleet(const FleetConfig& cfg, const std::vector<JobClass>& class
 
   const auto drain_pending = [&] {
     // FIFO: the head blocks later arrivals wanting the same resources, so
-    // first-fit and LoI-aware stay comparable (the sched/cluster rule).
+    // both policies admit jobs in arrival order and stay comparable.
     while (!pending.empty()) {
       const int pool_idx = choose_pool(classes[arrivals[pending.front()].job_class]);
       if (pool_idx < 0) break;

@@ -2,14 +2,15 @@
 // disaggregated pools (the paper's Sec. 7 capacity-planning argument at
 // datacenter scale).
 //
-// Where `sched/cluster` prices one co-location *pair* on one pool link,
-// this layer simulates thousands of jobs: a deterministic arrival process
-// (fleet/arrival.h) places jobs across compute-node groups that each share
-// one disaggregated pool, an admission policy decides placement (or
-// queues, or rejects), running jobs feed demand and bulk cross-traffic
-// through the pool link's two-class `memsim::QueueModel`, and overloaded
-// pools can migrate running jobs to quieter ones — the migration burst
-// itself charged as bulk traffic into both pool queues.
+// This is the repository's one multi-job simulator (`sched/colocation`
+// is the single-job Fig. 13 study). It simulates thousands of jobs: a
+// deterministic arrival process (fleet/arrival.h) places jobs across
+// compute-node groups that each share one disaggregated pool, an
+// admission policy decides placement (or queues, or rejects), running
+// jobs feed demand and bulk cross-traffic through the pool link's
+// two-class `memsim::QueueModel`, and overloaded pools can migrate
+// running jobs to quieter ones — the migration burst itself charged as
+// bulk traffic into both pool queues.
 //
 // Model shape: time advances in fixed steps of `step_s`. Each step,
 //
@@ -57,9 +58,9 @@ struct PoolSpec {
 };
 
 /// A job class: the per-job profile plus the fleet-level resource demand.
-/// `profile` is the same Level-3 shape the pairwise co-location layer uses
-/// (sensitivity curve, offered demand traffic) — the fleet generalizes the
-/// pair to N co-runners without changing the job model.
+/// `profile` is the same Level-3 shape the Fig. 13 co-location study uses
+/// (sensitivity curve, offered demand traffic); the fleet prices it against
+/// N co-runners without changing the job model.
 struct JobClass {
   sched::JobProfile profile;    ///< app name, base runtime, sensitivity, offered_gbps
   double bulk_gbps = 0.0;       ///< steady bulk traffic (checkpoint/spill streams)

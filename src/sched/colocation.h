@@ -8,15 +8,11 @@
 // configuration is repeated 100 times and summarized with five-number
 // statistics.
 //
-// This pairwise study is the N = 2 special case of the fleet layer
-// (src/fleet, docs/FLEET.md): simulate_pair_shared_queue solves two jobs
-// coupling through one link's queue as a per-interval fixed point, while
-// fleet::run_fleet iterates the same feedback (speed → offered traffic →
-// co-runner LoI → speed) across whole racks of jobs with admission and
-// migration on top. JobProfile is the shared currency — fleet::JobClass
-// embeds it verbatim — and both layers price traffic through the same
-// memsim::QueueModel, so the pairwise entry points here remain the
-// precise, directly-testable form of the fleet's per-step physics.
+// This is the single-job form of the study: one job against a re-rolled
+// background LoI. Rack-scale co-location, where co-runners produce each
+// other's interference through a shared pool link's queue, is
+// fleet::run_fleet (src/fleet, docs/FLEET.md); fleet::JobClass embeds
+// JobProfile verbatim, so both studies price the same job model.
 #pragma once
 
 #include <cstdint>
@@ -25,26 +21,18 @@
 
 #include "common/stats.h"
 #include "core/interference.h"
-#include "memsim/loi_schedule.h"
-#include "memsim/tier.h"
 
 namespace memdis::sched {
 
 /// A job as the scheduler sees it: identity, idle-system runtime, and its
-/// Level-3 profile (sensitivity curve + induced interference coefficient).
+/// Level-3 sensitivity curve.
 struct JobProfile {
   std::string app;
   double base_runtime_s = 0.0;  ///< runtime at LoI = 0
   std::vector<core::SensitivityPoint> sensitivity;
-  double induced_ic = 1.0;  ///< interference coefficient (Fig. 11 right)
-  /// Per-link sensitivity curves, indexed by TierId, for N-tier racks where
-  /// each pool link carries its own contention level. Empty inner curves
-  /// mean the job is insensitive to that link (local tiers stay empty).
-  /// When the whole vector is empty the job only has the aggregate curve.
-  std::vector<std::vector<core::SensitivityPoint>> link_sensitivity;
-  /// Link *data* traffic (GB/s) the job offers onto the shared pool link
-  /// when running at full speed — what it injects into a co-runner's queue
-  /// (simulate_pair_shared_queue). A slowed job offers proportionally less.
+  /// Link *data* traffic (GB/s) the job offers onto its shared pool link
+  /// when running at full speed — what it injects into co-runners' queue
+  /// (fleet::run_fleet). A slowed job offers proportionally less.
   double offered_gbps = 0.0;
 };
 
@@ -60,52 +48,6 @@ struct CoLocationConfig {
 /// returns the wall time. Progress advances at rel_perf(LoI) of idle speed.
 [[nodiscard]] double simulate_run(const JobProfile& job, double max_loi,
                                   double reroll_interval_s, std::uint64_t seed);
-
-/// N-tier variant: each fabric link's LoI re-rolls *independently* from
-/// U(0, max_loi_per_link[t]) every interval, and the job's speed is the
-/// product of its per-link relative performances (links queue
-/// independently, so their slowdowns compound). Requires a non-empty
-/// link_sensitivity profile; entries past the vector are treated as 0.
-[[nodiscard]] double simulate_run_per_link(const JobProfile& job,
-                                           const std::vector<double>& max_loi_per_link,
-                                           double reroll_interval_s, std::uint64_t seed);
-
-/// Trace/waveform-driven variant: instead of re-rolling randomly, each
-/// fabric link's LoI follows its scheduled waveform, evaluated once per
-/// interval (interval i uses value_at(i)) — fully deterministic, the
-/// replay path for captured congestion traces. Links without a waveform
-/// idle at LoI 0; speeds compound multiplicatively across links, as in
-/// simulate_run_per_link. Requires a non-empty link_sensitivity profile.
-[[nodiscard]] double simulate_run_scheduled(const JobProfile& job,
-                                            const memsim::LoiSchedule& schedule,
-                                            double reroll_interval_s);
-
-/// Outcome of co-running two jobs on one shared pool link where each job's
-/// interference is *produced* by the other's offered traffic through the
-/// link's queue (simulate_pair_shared_queue).
-struct SharedQueuePair {
-  double a_wall_s = 0.0;   ///< job A's wall time co-located
-  double b_wall_s = 0.0;   ///< job B's wall time co-located
-  double a_solo_s = 0.0;   ///< job A alone on the link (background LoI only)
-  double b_solo_s = 0.0;   ///< job B alone on the link
-  double a_slowdown = 0.0; ///< a_wall_s / a_solo_s
-  double b_slowdown = 0.0; ///< b_wall_s / b_solo_s
-};
-
-/// Deterministic shared-queue pair simulation: per interval, each job's
-/// experienced LoI on the shared link is the background LoI plus the
-/// co-runner's *current* offered traffic (its full-speed `offered_gbps`
-/// scaled by its current speed, protocol overhead applied) as % of link
-/// capacity — the sched-level analogue of the engine's QueueModel class
-/// coupling. The two speeds are solved as a per-interval fixed point (a
-/// slower co-runner offers less traffic, which speeds the victim up, which
-/// slows the co-runner...); once the shorter job finishes, the survivor
-/// runs against the background alone. Seed-free.
-[[nodiscard]] SharedQueuePair simulate_pair_shared_queue(const JobProfile& a,
-                                                         const JobProfile& b,
-                                                         const memsim::FabricLinkSpec& link,
-                                                         double background_loi = 0.0,
-                                                         double interval_s = 60.0);
 
 /// Outcome of the 100-run experiment for one job and one scheduler.
 struct CoLocationOutcome {

@@ -72,6 +72,16 @@ struct ByteReader {
     p += 8;
     return v;
   }
+  /// An element count whose elements each take at least `min_bytes` of
+  /// the bytes left; a larger claim fails instead of sizing an allocation.
+  std::uint64_t count(std::uint64_t min_bytes) {
+    const std::uint64_t n = varint();
+    if (fail || n > static_cast<std::uint64_t>(end - p) / min_bytes) {
+      fail = true;
+      return 0;
+    }
+    return n;
+  }
   std::string str() {
     const std::uint64_t len = varint();
     if (fail || static_cast<std::uint64_t>(end - p) < len) {
@@ -205,7 +215,7 @@ bool TraceCursor::next(TraceRecord& rec) {
       rec.a = r.varint();
       rec.policy.kind = static_cast<memsim::PlacementKind>(r.u8());
       rec.policy.target = static_cast<memsim::TierId>(r.varint());
-      rec.policy.weights.assign(r.varint(), 0);
+      rec.policy.weights.assign(r.count(1), 0);  // a varint weight: >= 1 byte
       for (auto& w : rec.policy.weights) w = static_cast<std::uint32_t>(r.varint());
       rec.text = r.str();
       rec.b = read_addr();
@@ -245,7 +255,7 @@ bool TraceCursor::next(TraceRecord& rec) {
       rec.c = r.varint();
       break;
     case TraceOp::kStream: {
-      rec.lanes.assign(r.varint(), sim::StreamLane{});
+      rec.lanes.assign(r.count(2), sim::StreamLane{});  // op byte + varint: >= 2 bytes
       for (auto& ln : rec.lanes) {
         ln.op = static_cast<sim::StreamLane::Op>(r.u8());
         if (ln.op == sim::StreamLane::Op::kFlops) {

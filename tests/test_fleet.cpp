@@ -1,6 +1,6 @@
 // Fleet simulator tests: arrival-spec grammar, seeding determinism, the
-// serial-vs-parallel bit-identity contract at fleet scale, and the
-// admission-capacity property.
+// serial-vs-parallel bit-identity contract at fleet scale, the
+// admission-capacity property, and the interference-aware placement claim.
 #include <cstdio>
 #include <fstream>
 #include <set>
@@ -214,6 +214,24 @@ TEST(Fleet, MigrationMovesJobsOffOverloadedPools) {
   off.migration = false;
   const auto baseline = run_fleet(off, classes, poisson_stream(0.15, 300, 42));
   EXPECT_EQ(baseline.migrations, 0u);
+}
+
+// The Sec. 7.2 claim at rack scale: below saturation, placing each job
+// on the pool it would load least beats first-fit on the same stream, at
+// the median and in the tail (the ext-fleet-rack `lo` rows).
+TEST(Fleet, LoiAwareAdmissionBeatsFirstFitBelowSaturation) {
+  const auto classes = default_job_classes();
+  const auto arrivals = poisson_stream(0.06, 400, 42);
+  FleetConfig cfg = two_pool_config();
+  cfg.migration = false;
+  cfg.policy = AdmissionPolicy::kFirstFit;
+  const auto first_fit = run_fleet(cfg, classes, arrivals);
+  cfg.policy = AdmissionPolicy::kLoiAware;
+  const auto aware = run_fleet(cfg, classes, arrivals);
+  EXPECT_EQ(first_fit.rejected, 0u);
+  EXPECT_EQ(aware.rejected, 0u);
+  EXPECT_LT(aware.p50_slowdown, first_fit.p50_slowdown);
+  EXPECT_LT(aware.p99_slowdown, first_fit.p99_slowdown);
 }
 
 TEST(Fleet, TraceAndPoissonSourcesShareJobInputs) {

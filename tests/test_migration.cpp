@@ -11,7 +11,6 @@
 #include "core/migration.h"
 #include "core/scenario_registry.h"
 #include "core/sweep.h"
-#include "sched/colocation.h"
 #include "sim/array.h"
 
 namespace memdis {
@@ -489,54 +488,7 @@ TEST(TransientLoi, ScanLoiLogTracksTheWave) {
   }
 }
 
-// ---------- scheduler: per-link co-location -----------------------------------
-
-TEST(SchedPerLink, LoadingTheSensitiveLinkSlowsTheJob) {
-  sched::JobProfile job;
-  job.app = "synthetic";
-  job.base_runtime_s = 600.0;
-  job.link_sensitivity = {
-      {},                          // node tier: no link
-      {{0.0, 1.0}, {50.0, 0.8}},   // pool 1: sensitive
-      {{0.0, 1.0}, {50.0, 1.0}},   // pool 2: insensitive
-  };
-  const double idle = sched::simulate_run_per_link(job, {0.0, 0.0, 0.0}, 60.0, 7);
-  const double pool1 = sched::simulate_run_per_link(job, {0.0, 50.0, 0.0}, 60.0, 7);
-  const double pool2 = sched::simulate_run_per_link(job, {0.0, 0.0, 50.0}, 60.0, 7);
-  EXPECT_NEAR(idle, job.base_runtime_s, 1e-9);
-  EXPECT_GT(pool1, idle);
-  EXPECT_NEAR(pool2, idle, 1e-9);
-  // Loading both links compounds multiplicatively, never less than the
-  // single-link slowdown.
-  job.link_sensitivity[2] = {{0.0, 1.0}, {50.0, 0.9}};
-  const double both = sched::simulate_run_per_link(job, {0.0, 50.0, 50.0}, 60.0, 7);
-  EXPECT_GT(both, pool1);
-}
-
-TEST(SchedScheduled, WaveformReplayIsDeterministicAndMatchesConstant) {
-  sched::JobProfile job;
-  job.app = "synthetic";
-  job.base_runtime_s = 600.0;
-  job.link_sensitivity = {
-      {},                          // node tier: no link
-      {{0.0, 1.0}, {50.0, 0.8}},   // pool 1: sensitive
-      {{0.0, 1.0}, {50.0, 1.0}},   // pool 2: insensitive
-  };
-  // A constant waveform reduces exactly to the static per-link run at that
-  // level (same interpolation, no randomness).
-  memsim::LoiSchedule constant;
-  constant.set(1, memsim::LoiWaveform::constant(50.0));
-  const double replay_const = sched::simulate_run_scheduled(job, constant, 60.0);
-  EXPECT_NEAR(replay_const, job.base_runtime_s / 0.8, 1e-9);
-  // A square wave alternating idle/loaded lands strictly between the two
-  // constant extremes, and replays identically every time.
-  memsim::LoiSchedule wave;
-  wave.set(1, memsim::LoiWaveform::square(2, 0.5, 50.0, 0.0));
-  const double replay_wave = sched::simulate_run_scheduled(job, wave, 60.0);
-  EXPECT_GT(replay_wave, job.base_runtime_s);
-  EXPECT_LT(replay_wave, replay_const);
-  EXPECT_DOUBLE_EQ(replay_wave, sched::simulate_run_scheduled(job, wave, 60.0));
-}
+// ---------- interference coefficient under a wave -----------------------------
 
 TEST(SchedScheduled, InterferenceCoefficientFollowsTheWave) {
   const auto m = memsim::MachineConfig::skylake_testbed();

@@ -1,10 +1,9 @@
-// Tests for the scheduling studies: the Fig. 13 co-location protocol and
-// the rack-scale cluster simulation, plus the native LBench runner.
+// Tests for the Fig. 13 co-location protocol, plus the native LBench
+// runner. Rack-scale co-location is the fleet simulator (test_fleet).
 #include <gtest/gtest.h>
 
 #include "common/contract.h"
 #include "native/lbench_native.h"
-#include "sched/cluster.h"
 #include "sched/colocation.h"
 
 namespace memdis::sched {
@@ -15,7 +14,6 @@ JobProfile sensitive_job(const std::string& name = "sensitive") {
   job.app = name;
   job.base_runtime_s = 480.0;
   job.sensitivity = {{0, 1.0}, {10, 0.97}, {20, 0.94}, {30, 0.91}, {40, 0.88}, {50, 0.85}};
-  job.induced_ic = 1.4;
   return job;
 }
 
@@ -24,7 +22,6 @@ JobProfile insensitive_job(const std::string& name = "insensitive") {
   job.app = name;
   job.base_runtime_s = 480.0;
   job.sensitivity = {{0, 1.0}, {50, 0.995}};
-  job.induced_ic = 1.02;
   return job;
 }
 
@@ -62,27 +59,14 @@ TEST(SimulateRun, InvalidInputsViolateContract) {
   EXPECT_THROW((void)simulate_run(bad, 10.0, 60.0, 1), contract_violation);
 }
 
-// Pins the three interval-loop entry points to exact wall times for one
-// fixed profile, so a refactor of their shared loop cannot drift by an ulp
-// or shift the per-link RNG stream (every link is drawn each interval, even
-// those without a curve).
+// Pins simulate_run to an exact wall time for one fixed profile, so a
+// refactor of its interval loop cannot drift by an ulp.
 TEST(SimulateRun, IntervalLoopsReproducePinnedValues) {
   JobProfile job;
   job.app = "pinned";
   job.base_runtime_s = 487.5;
   job.sensitivity = {{0, 1.0}, {10, 0.97}, {25, 0.9}, {50, 0.83}};
-  job.link_sensitivity = {
-      {},  // node tier: no link, still drawn
-      {{0.0, 1.0}, {20.0, 0.93}, {50.0, 0.78}},
-      {},  // unused pool: drawn, never applied
-      {{0.0, 1.0}, {50.0, 0.96}},
-  };
-  memsim::LoiSchedule schedule;
-  schedule.set(1, memsim::LoiWaveform::square(3, 0.34, 45.0, 5.0));
-  schedule.set(3, memsim::LoiWaveform::ramp(4, 0.0, 40.0));
   EXPECT_EQ(simulate_run(job, 50.0, 37.0, 11), 521.10843146129093);
-  EXPECT_EQ(simulate_run_per_link(job, {0.0, 50.0, 30.0, 25.0}, 37.0, 11), 536.76167207976596);
-  EXPECT_EQ(simulate_run_scheduled(job, schedule, 37.0), 543.22671545433525);
 }
 
 // ---------- co-location comparison ---------------------------------------------------
@@ -137,81 +121,6 @@ TEST_P(CoLocationSeedTest, AwareNeverWorseOnVariability) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CoLocationSeedTest, ::testing::Values(1u, 17u, 999u, 4242u));
-
-// ---------- cluster simulation --------------------------------------------------------
-
-std::vector<JobRequest> job_stream(int count, double induced_loi, double arrival_gap) {
-  std::vector<JobRequest> jobs;
-  for (int i = 0; i < count; ++i) {
-    JobRequest req;
-    req.profile = sensitive_job("job" + std::to_string(i));
-    req.nodes = 2;
-    req.pool_demand_gb = 64.0;
-    req.induced_loi = induced_loi;
-    req.arrival_s = i * arrival_gap;
-    jobs.push_back(req);
-  }
-  return jobs;
-}
-
-TEST(Cluster, AllJobsComplete) {
-  ClusterSim sim(ClusterConfig{});
-  const auto out = sim.run(job_stream(12, 15.0, 10.0), SchedulerPolicy::kRandom);
-  EXPECT_EQ(out.jobs.size(), 12u);
-  for (const auto& j : out.jobs) {
-    EXPECT_GE(j.start_s, j.arrival_s);
-    EXPECT_GT(j.finish_s, j.start_s);
-    EXPECT_GE(j.rack, 0);
-  }
-}
-
-TEST(Cluster, IdleClusterRunsAtBaseSpeed) {
-  ClusterSim sim(ClusterConfig{});
-  const auto out = sim.run(job_stream(1, 15.0, 0.0), SchedulerPolicy::kRandom);
-  EXPECT_NEAR(out.jobs[0].runtime_s(), 480.0, 1e-6);
-  EXPECT_NEAR(out.mean_slowdown, 1.0, 1e-9);
-}
-
-TEST(Cluster, AwarePolicySpreadsInterference) {
-  ClusterConfig cfg;
-  cfg.racks = 4;
-  ClusterSim sim(cfg);
-  const auto jobs = job_stream(8, 25.0, 0.0);  // all arrive at once
-  const auto random = sim.run(jobs, SchedulerPolicy::kRandom);
-  const auto aware = sim.run(jobs, SchedulerPolicy::kInterferenceAware, 30.0);
-  EXPECT_LE(aware.mean_slowdown, random.mean_slowdown + 1e-9);
-}
-
-TEST(Cluster, AwarePolicyDefersOverCap) {
-  ClusterConfig cfg;
-  cfg.racks = 1;
-  cfg.rack.nodes_per_rack = 8;
-  ClusterSim sim(cfg);
-  const auto jobs = job_stream(3, 20.0, 0.0);
-  // Cap 30: at most one co-runner per rack (20+20=40 > 30) → jobs serialize
-  // partially and wait times appear.
-  const auto out = sim.run(jobs, SchedulerPolicy::kInterferenceAware, 30.0);
-  EXPECT_EQ(out.jobs.size(), 3u);
-  EXPECT_GT(out.mean_wait_s, 0.0);
-  // Nobody ever saw more than 20 LoI of co-runner interference.
-  for (const auto& j : out.jobs)
-    EXPECT_LE(j.runtime_s(), 480.0 / 0.94 + 1.0);  // ≤ slowdown at LoI 20
-}
-
-TEST(Cluster, OversizedJobViolatesContract) {
-  ClusterConfig cfg;
-  cfg.rack.nodes_per_rack = 4;
-  ClusterSim sim(cfg);
-  auto jobs = job_stream(1, 10.0, 0.0);
-  jobs[0].nodes = 8;
-  EXPECT_THROW((void)sim.run(jobs, SchedulerPolicy::kRandom), contract_violation);
-}
-
-TEST(Cluster, MakespanCoversAllFinishTimes) {
-  ClusterSim sim(ClusterConfig{});
-  const auto out = sim.run(job_stream(6, 10.0, 30.0), SchedulerPolicy::kRandom);
-  for (const auto& j : out.jobs) EXPECT_LE(j.finish_s, out.makespan_s + 1e-9);
-}
 
 // ---------- native LBench --------------------------------------------------------------
 

@@ -243,6 +243,22 @@ TEST(TraceFormat, ScanRejectsCorruptRecord) {
   std::string error;
   EXPECT_FALSE(trace::scan_trace(data, error).has_value());
   EXPECT_FALSE(error.empty());
+
+  // Element counts of 2^62 (varint bytes 80..80 40) must be rejected
+  // against the bytes left, never sized into an allocation first.
+  const std::vector<std::uint8_t> huge = {0x80, 0x80, 0x80, 0x80, 0x80,
+                                          0x80, 0x80, 0x80, 0x40};
+  std::vector<std::uint8_t> stream = {static_cast<std::uint8_t>(trace::TraceOp::kStream)};
+  stream.insert(stream.end(), huge.begin(), huge.end());
+  // kAlloc: size varint, placement kind, target tier, then the weight count.
+  std::vector<std::uint8_t> alloc = {static_cast<std::uint8_t>(trace::TraceOp::kAlloc), 64, 0, 0};
+  alloc.insert(alloc.end(), huge.begin(), huge.end());
+  for (const auto& payload : {stream, alloc}) {
+    data.payload = payload;
+    error.clear();
+    EXPECT_FALSE(trace::scan_trace(data, error).has_value());
+    EXPECT_NE(error.find("corrupt trace record"), std::string::npos) << error;
+  }
 }
 
 // ---- periodic detector / RLE boundaries -------------------------------------

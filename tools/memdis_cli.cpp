@@ -33,8 +33,8 @@
 #include <iostream>
 #include <limits>
 #include <optional>
-#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/csv.h"
@@ -243,18 +243,13 @@ std::optional<Args> parse(int argc, char** argv) {
     } else if (flag == "--fabric") {
       args.fabric = *value;
     } else if (flag == "--lois") {
-      args.lois.clear();
-      std::stringstream ss(*value);
-      std::string tok;
-      while (std::getline(ss, tok, ',')) {
-        const auto v = parse_double("--lois", tok, 0.0, 2000.0);
-        if (!v) return std::nullopt;
-        args.lois.push_back(*v);
-      }
-      if (args.lois.empty()) {
-        std::cerr << "error: --lois expects a comma-separated list of numbers\n";
+      std::string error;
+      auto values = memsim::parse_loi_list(*value, error);
+      if (!values) {
+        std::cerr << "error: --lois: " << error << "\n";
         return std::nullopt;
       }
+      args.lois = std::move(*values);
     } else if (flag == "--loi") {
       // Values are given per fabric tier in tier order; tier 0 is the node
       // tier and carries no link, so the stored vector leads with a zero.
