@@ -1,9 +1,7 @@
 // Sweep-engine throughput baseline: wall-clock of the fig06 sweep
-// (18 configurations) at jobs=1 vs jobs=hardware_concurrency, plus the
-// replay-cache path (record once into a temp cache, then re-run from it) so
-// future PRs can track sweep throughput on both the live and the replayed
-// path. Also re-checks the determinism contract: parallel rows AND replayed
-// rows must be bit-identical to the serial live rows.
+// (18 configurations) at jobs=1 vs jobs=hardware_concurrency. Also
+// re-checks the determinism contract: parallel rows must be bit-identical
+// to the serial rows.
 //
 // A second grid measures the epoch-profile repricer (docs/REPRICE.md): a
 // Hypre sweep over a 6-point LoI axis runs fully simulated and then with
@@ -12,7 +10,6 @@
 // byte-identity of the rows.
 //
 // Usage: bench_sweep_scaling [--json PATH]
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -42,20 +39,7 @@ int main(int argc, char** argv) {
   const auto serial = core::run_scenario(*scenario, {.jobs = 1});
   const auto parallel = core::run_scenario(*scenario, {.jobs = hw});
 
-  // Replay path: record the sweep's traces into a throwaway cache, then
-  // time a serial re-run that replays them (the number comparable to
-  // wall_s_jobs1).
-  namespace fs = std::filesystem;
-  const fs::path cache_dir = fs::temp_directory_path() / "memdis_bench_sweep_cache";
-  fs::remove_all(cache_dir);
-  fs::create_directories(cache_dir);
-  core::set_replay_cache_dir(cache_dir.string());
-  (void)core::run_scenario(*scenario, {.jobs = 1});  // recording pass
-  const auto replayed = core::run_scenario(*scenario, {.jobs = 1});
-  core::set_replay_cache_dir({});
-  fs::remove_all(cache_dir);
-
-  const bool identical = serial.rows_equal(parallel) && serial.rows_equal(replayed);
+  const bool identical = serial.rows_equal(parallel);
   const double speedup = parallel.wall_seconds > 0 ? serial.wall_seconds / parallel.wall_seconds
                                                    : 0.0;
 
@@ -99,9 +83,6 @@ int main(int argc, char** argv) {
   t.add_row({"jobs=" + std::to_string(hw), std::to_string(parallel.rows.size()),
              Table::num(parallel.wall_seconds, 3),
              Table::num(static_cast<double>(parallel.rows.size()) / parallel.wall_seconds, 2)});
-  t.add_row({"replay", std::to_string(replayed.rows.size()),
-             Table::num(replayed.wall_seconds, 3),
-             Table::num(static_cast<double>(replayed.rows.size()) / replayed.wall_seconds, 2)});
   t.print(std::cout);
 
   Table rt({"path", "configs", "groups", "wall (s)", "configs/s"});
@@ -142,8 +123,7 @@ int main(int argc, char** argv) {
        << "  \"configs\": " << serial.rows.size() << ",\n"
        << "  \"hardware_concurrency\": " << hw << ",\n"
        << "  \"wall_s_jobs1\": " << serial.wall_seconds << ",\n"
-       << "  \"wall_s_jobs_hw\": " << parallel.wall_seconds << ",\n"
-       << "  \"wall_s_replay\": " << replayed.wall_seconds << ",\n";
+       << "  \"wall_s_jobs_hw\": " << parallel.wall_seconds << ",\n";
   if (hw > 1) {
     json << "  \"speedup\": " << speedup << ",\n";
   } else {

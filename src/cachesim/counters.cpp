@@ -45,24 +45,4 @@ HwCounters& HwCounters::operator+=(const HwCounters& other) {
   return *this;
 }
 
-void HwCounters::add_scaled(const HwCounters& delta, std::uint64_t n) {
-  loads += delta.loads * n;
-  stores += delta.stores * n;
-  l1_hits += delta.l1_hits * n;
-  l2_hits += delta.l2_hits * n;
-  l3_hits += delta.l3_hits * n;
-  l2_lines_in += delta.l2_lines_in * n;
-  pf_l2_data_rd += delta.pf_l2_data_rd * n;
-  pf_l2_rfo += delta.pf_l2_rfo * n;
-  useless_hwpf += delta.useless_hwpf * n;
-  pf_hits += delta.pf_hits * n;
-  offcore_l3_miss += delta.offcore_l3_miss * n;
-  for (int i = 0; i < memsim::kMaxTiers; ++i) {
-    offcore_dram[i] += delta.offcore_dram[i] * n;
-    demand_dram[i] += delta.demand_dram[i] * n;
-    dram_read_bytes[i] += delta.dram_read_bytes[i] * n;
-    dram_writeback_bytes[i] += delta.dram_writeback_bytes[i] * n;
-  }
-}
-
 }  // namespace memdis::cachesim

@@ -26,12 +26,11 @@
 // byte-identical to full simulation for every eligible point — enforced
 // by the determinism suite and the fig06 golden gate. See docs/REPRICE.md.
 //
-// Eligibility is gated exactly like fast-forward: a run opts in only via
-// core::run_workload with repricing enabled, a workload that publishes a
-// functional id, and fast-forward off. Migration runtimes and epoch
-// callbacks never reach run_workload (scenario code builds those engines
-// directly), so ineligible points fall back to full simulation silently
-// and correctly.
+// Eligibility: a run opts in only via core::run_workload with repricing
+// enabled and a workload that publishes a functional id. Migration
+// runtimes and epoch callbacks never reach run_workload (scenario code
+// builds those engines directly), so ineligible points fall back to full
+// simulation silently and correctly.
 #pragma once
 
 #include <memory>
@@ -61,8 +60,8 @@ struct EpochProfile {
   RunOutput output;               ///< captured full-simulation output
 };
 
-/// Process-wide repricing switch (default off), mirroring the fast-forward
-/// and link-model defaults. `memdis sweep --reprice on|off` sets it.
+/// Process-wide repricing switch (default off), mirroring the link-model
+/// default. `memdis sweep --reprice on|off` sets it.
 [[nodiscard]] bool reprice_enabled();
 void set_reprice_enabled(bool on);
 

@@ -107,13 +107,11 @@ RunOutput run_workload(workloads::Workload& workload, const RunConfig& cfg) {
   // Epoch-profile memoization (docs/REPRICE.md): when enabled, runs whose
   // functional half (workload id + shaped machine + hierarchy + prefetch
   // switch) was already captured are re-priced in O(epochs) under this
-  // config's timing half. Eligibility mirrors fast-forward's gates: the
-  // workload must publish a param-complete functional id, and fast-forward
-  // must be off (its synthesis reads durations — timing — back into
-  // control flow). Engines with migration runtimes or epoch callbacks are
+  // config's timing half. The workload must publish a param-complete
+  // functional id. Engines with migration runtimes or epoch callbacks are
   // built by scenario code directly and never pass through here, so those
   // runs fall back to full simulation silently and correctly.
-  if (reprice_enabled() && !sim::fast_forward_default()) {
+  if (reprice_enabled()) {
     const std::string id = workload.functional_id();
     if (!id.empty()) {
       const std::string key =

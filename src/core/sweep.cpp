@@ -8,8 +8,6 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
-
-#include <mutex>
 #include <unordered_set>
 
 #include "common/artifact_format.h"
@@ -18,7 +16,6 @@
 #include "common/parallel_for.h"
 #include "common/rng.h"
 #include "core/epoch_profile.h"
-#include "trace/trace_workload.h"
 
 namespace memdis::core {
 // format_double / json_escape come from common/artifact_format.h: the
@@ -52,24 +49,13 @@ RunConfig SweepPoint::run_config() const {
   return rc;
 }
 
-namespace {
-std::mutex g_replay_cache_mutex;
-std::string g_replay_cache_dir;  // guarded by g_replay_cache_mutex
-}  // namespace
-
-std::string replay_cache_dir() {
-  const std::lock_guard<std::mutex> lock(g_replay_cache_mutex);
-  return g_replay_cache_dir;
-}
+std::string replay_cache_dir() { return {}; }
 
 void set_replay_cache_dir(std::string dir) {
-  const std::lock_guard<std::mutex> lock(g_replay_cache_mutex);
-  g_replay_cache_dir = std::move(dir);
+  expects(dir.empty(), "the replay cache has been removed; only \"\" is accepted");
 }
 
 std::unique_ptr<workloads::Workload> SweepPoint::make_workload() const {
-  const std::string cache = replay_cache_dir();
-  if (!cache.empty()) return trace::make_cached_workload(cache, app, scale, seed);
   return workloads::make_workload(app, scale, seed);
 }
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cstring>
-#include <type_traits>
 
 #include "common/contract.h"
 #include "common/units.h"
@@ -14,25 +12,6 @@ namespace memdis::sim {
 namespace {
 std::atomic<bool> g_bulk_fast_path_default{true};
 std::atomic<memsim::LinkModelKind> g_link_model_default{memsim::LinkModelKind::kLoi};
-std::atomic<bool> g_fast_forward_default{false};
-
-/// Steady-state equality for fast-forward: two epochs repeat iff their full
-/// counter deltas and their cost-relevant record fields match exactly.
-bool counters_equal(const cachesim::HwCounters& a, const cachesim::HwCounters& b) {
-  static_assert(std::is_trivially_copyable_v<cachesim::HwCounters>);
-  return std::memcmp(&a, &b, sizeof(cachesim::HwCounters)) == 0;
-}
-
-bool epochs_repeat(const EpochRecord& a, const EpochRecord& b) {
-  return a.duration_s == b.duration_s && a.phase == b.phase && a.flops == b.flops &&
-         a.tier_bytes == b.tier_bytes && a.tier_demand == b.tier_demand &&
-         a.l2_lines_in == b.l2_lines_in && a.link_traffic_gbps == b.link_traffic_gbps &&
-         a.link_utilization == b.link_utilization && a.migration_s == 0.0 &&
-         b.migration_s == 0.0 && a.resident_bytes == b.resident_bytes &&
-         a.link_loi == b.link_loi && a.link_demand_mult == b.link_demand_mult &&
-         a.link_demand_inflation == b.link_demand_inflation &&
-         a.migration_bytes == b.migration_bytes;
-}
 }  // namespace
 
 bool bulk_fast_path_default() { return g_bulk_fast_path_default.load(std::memory_order_relaxed); }
@@ -47,13 +26,14 @@ void set_link_model_default(memsim::LinkModelKind kind) {
   g_link_model_default.store(kind, std::memory_order_relaxed);
 }
 
-bool fast_forward_default() { return g_fast_forward_default.load(std::memory_order_relaxed); }
+bool fast_forward_default() { return false; }
 void set_fast_forward_default(bool on) {
-  g_fast_forward_default.store(on, std::memory_order_relaxed);
+  expects(!on, "fast-forward has been removed; only off is accepted");
 }
 
 Engine::Engine(const EngineConfig& cfg)
     : cfg_(cfg), memory_(cfg.machine), hierarchy_(cfg.hierarchy, memory_) {
+  expects(!cfg_.fast_forward, "fast-forward has been removed; only off is accepted");
   const auto& m = cfg_.machine;
   expects(m.cacheline_bytes > 0 && (m.cacheline_bytes & (m.cacheline_bytes - 1)) == 0,
           "cacheline size must be a power of two");
@@ -341,15 +321,6 @@ void Engine::stream_lanes(const StreamLane* lanes, std::size_t num_lanes,
     al[num_al++] = AccessLane{ln.base, ln.stride, shift, 0, 0, 0, accesses_per_iter, stores};
   }
 
-  // Steady-state fast-forward (off by default): the detector state is
-  // reset only when armed, so calls without it pay nothing for it.
-  const bool ff_on = cfg_.fast_forward && ff_eligible();
-  if (ff_on) {
-    ff_watch_ = FfWatch{};
-    ff_watch_.entry_epochs = ff_watch_.seen_epochs = epochs_.size();
-    ff_watch_.close_base = epoch_base_;
-  }
-
   // Lanes that entered a new line this window (or all lanes after a fill),
   // gathered so their probes resolve in one batched pass over the L1 tag
   // planes (the vectorized scans issue back-to-back). Other lanes keep
@@ -362,15 +333,6 @@ void Engine::stream_lanes(const StreamLane* lanes, std::size_t num_lanes,
   BulkAcc acc;
   std::uint64_t k = 0;
   while (k < count) {
-    if (ff_on && epochs_.size() != ff_watch_.seen_epochs) {
-      // An epoch closed since the last loop head (inside emit_iter, so the
-      // bulk accumulator was already flushed).
-      const std::uint64_t jumped = ff_observe(k, count);
-      if (jumped > 0) {
-        k += jumped;
-        handles_valid = false;
-      }
-    }
     // Window: iterations every lane spends inside its current cacheline.
     std::uint64_t n = count - k;
     std::size_t num_probes = 0;
@@ -661,79 +623,6 @@ void Engine::close_epoch() {
   // link state it will actually run under.
   apply_loi_schedule(epochs_.size());
   if (epoch_cb_) epoch_cb_(*this);
-}
-
-bool Engine::ff_eligible() const {
-  // Synthesis assumes nothing external perturbs epochs between closes:
-  // static links (no schedule, no queue estimators to feed), no epoch
-  // callback (which could migrate pages or charge costs), and no migration
-  // charges already in flight. Without a callback nothing can charge
-  // migrations mid-call, so checking once at stream entry suffices.
-  if (cfg_.link_model != memsim::LinkModelKind::kLoi) return false;
-  if (epoch_cb_) return false;
-  if (!cfg_.loi_schedule.empty()) return false;
-  if (pending_migration_s_ != 0.0) return false;
-  for (const auto b : pending_migration_bytes_)
-    if (b != 0) return false;
-  return true;
-}
-
-std::uint64_t Engine::ff_observe(std::uint64_t k, std::uint64_t count) {
-  FfWatch& w = ff_watch_;
-  // Once two consecutive in-call epochs close with bit-identical counter
-  // deltas, identical records, and the same iteration gap, the stream has
-  // settled — cache behaviour is periodic with the epoch, so the remaining
-  // whole epochs are synthesized in closed form instead of simulated.
-  // Cache *contents* stay at their pre-jump state (the next window
-  // re-resolves and re-fills); that staleness is the mode's documented
-  // ≤0.1% tolerance, which is why it is off by default and never
-  // golden-gated. epoch_base_ is the counter snapshot at the latest close:
-  // the delta since the previous close is the epoch's exact signature.
-  const std::uint64_t gap = k - w.close_k;
-  const cachesim::HwCounters delta = epoch_base_.delta_since(w.close_base);
-  std::uint64_t jumped = 0;
-  // Only a single close with a full in-call epoch behind it yields a
-  // usable (gap, delta) signature; the partial epoch in flight at call
-  // entry never participates.
-  if (epochs_.size() == w.seen_epochs + 1 && w.seen_epochs > w.entry_epochs && gap > 0) {
-    if (w.have_prev && gap == w.prev_gap && counters_equal(delta, w.prev_delta) &&
-        epochs_repeat(epochs_.back(), epochs_[epochs_.size() - 2])) {
-      const std::uint64_t iters_left = count - k;
-      if (iters_left > 2 * gap) {
-        const std::uint64_t reps = iters_left / gap - 1;  // keep a live tail
-        ff_synthesize(delta, reps);
-        jumped = reps * gap;
-      }
-      w.have_prev = false;  // require fresh evidence before jumping again
-    } else {
-      w.prev_gap = gap;
-      w.prev_delta = delta;
-      w.have_prev = true;
-    }
-  } else {
-    w.have_prev = false;
-  }
-  w.seen_epochs = epochs_.size();
-  w.close_k = k;
-  w.close_base = epoch_base_;
-  return jumped;
-}
-
-void Engine::ff_synthesize(const cachesim::HwCounters& delta, std::uint64_t n) {
-  const EpochRecord& last = epochs_.back();
-  hierarchy_.ff_apply(delta, n);
-  // Shift the baseline by the same amount so the live partial epoch's
-  // eventual delta (counters − epoch_base_) stays exact across the jump.
-  epoch_base_.add_scaled(delta, n);
-  EpochRecord synth = last;
-  epochs_.reserve(epochs_.size() + static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    synth.start_s = elapsed_s_;
-    elapsed_s_ += synth.duration_s;
-    epochs_.push_back(synth);
-  }
-  total_flops_ += last.flops * n;
-  ff_skipped_epochs_ += n;
 }
 
 void Engine::finish() {

@@ -64,9 +64,9 @@ void set_bulk_fast_path_default(bool on);
 [[nodiscard]] memsim::LinkModelKind link_model_default();
 void set_link_model_default(memsim::LinkModelKind kind);
 
-/// Process-wide default for EngineConfig::fast_forward (off unless
-/// overridden — the bit-exact path is the golden gate). The CLI flips this
-/// via `--fast-forward on`.
+/// Off-only stubs of the removed steady-state fast-forward, kept because
+/// the frozen perfbench/ harness pins these names: the getter is always
+/// false and the setter accepts only false.
 [[nodiscard]] bool fast_forward_default();
 void set_fast_forward_default(bool on);
 
@@ -148,13 +148,9 @@ struct EngineConfig {
   /// pre-queue engine. `kQueue` partitions each link's traffic into demand
   /// and bulk classes that inflate each other's delay (queue_model.h).
   memsim::LinkModelKind link_model = link_model_default();
-  /// Steady-state fast-forward: when a long bulk call settles into
-  /// epochs with identical counter deltas and identical epoch records, the
-  /// remaining repetitions are advanced in closed form (counters, epoch
-  /// records, LRU clocks) instead of simulating every line. Off by default:
-  /// the bit-exact path is the golden gate; fast-forwarded results are
-  /// tolerance-gated (≤0.1% on epoch totals — docs/TRACE.md).
-  bool fast_forward = fast_forward_default();
+  /// Off-only stub of the removed fast-forward, kept because the frozen
+  /// perfbench/ harness writes it; the Engine constructor rejects true.
+  bool fast_forward = false;
 };
 
 /// Timing outputs of the per-epoch cost model: everything in an EpochRecord
@@ -448,11 +444,6 @@ class Engine {
   /// when detached.
   void set_trace_sink(TraceSink* sink) { trace_sink_ = sink; }
 
-  /// Epochs synthesized in closed form by the steady-state fast-forward
-  /// pass (0 unless cfg.fast_forward fired; the tolerance tests assert it
-  /// actually engaged).
-  [[nodiscard]] std::uint64_t fast_forwarded_epochs() const { return ff_skipped_epochs_; }
-
  private:
   /// Per-batch counter accumulator for L1-hit runs; flushed into the
   /// hierarchy's HwCounters before any epoch can close and at batch end.
@@ -521,30 +512,6 @@ class Engine {
   /// Re-evaluates the LoI schedule for epoch `epoch` onto the links.
   void apply_loi_schedule(std::uint64_t epoch);
 
-  /// True when the engine state admits closed-form epoch synthesis: static
-  /// links, no epoch callback, no migration charges in flight.
-  [[nodiscard]] bool ff_eligible() const;
-  /// Steady-state detector of the running bulk call (ff_watch_): epoch
-  /// counts at call entry and at the last observed close, and the previous
-  /// close's (iteration gap, counter delta) signature.
-  struct FfWatch {
-    std::uint64_t entry_epochs = 0;
-    std::uint64_t seen_epochs = 0;
-    std::uint64_t close_k = 0;  ///< iteration index at the last close
-    cachesim::HwCounters close_base;
-    std::uint64_t prev_gap = 0;
-    cachesim::HwCounters prev_delta;
-    bool have_prev = false;
-  };
-  /// Called by the bulk kernel at iteration `k` of `count` after an epoch
-  /// closed: updates ff_watch_ and, once two consecutive epochs repeat,
-  /// synthesizes whole epochs. Returns the iterations skipped.
-  std::uint64_t ff_observe(std::uint64_t k, std::uint64_t count);
-  /// Appends `n` copies of the last epoch record (advancing start times),
-  /// folds `n * delta` into the hardware counters and LRU clocks, and
-  /// shifts the epoch baseline so the live partial epoch stays exact.
-  void ff_synthesize(const cachesim::HwCounters& delta, std::uint64_t n);
-
   EngineConfig cfg_;
   memsim::TieredMemory memory_;
   /// Per-tier link models, indexed by TierId; nullopt for local tiers.
@@ -589,10 +556,6 @@ class Engine {
   bool finished_ = false;
 
   TraceSink* trace_sink_ = nullptr;
-  std::uint64_t ff_skipped_epochs_ = 0;
-  /// Kept as a member, not a kernel local, so bulk calls with fast-forward
-  /// off never initialize its two counter snapshots.
-  FfWatch ff_watch_;
 
   std::vector<EpochRecord> epochs_;
   std::vector<PhaseRecord> phases_;

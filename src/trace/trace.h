@@ -9,7 +9,7 @@
 // compute against host-side buffers, the stream depends only on
 // (app, scale, seed) — never on the machine, capacity split, LoI, or link
 // model. One recording therefore replays bit-identically into every point
-// of a machine/policy grid (core/sweep's replay cache).
+// of a machine/policy grid.
 //
 // Compactness and replay speed come from the same mechanism: the writer
 // run-length-encodes the element-wise stream. Adjacent flops() calls are

@@ -1,5 +1,5 @@
-// Record/replay workload wrappers over the trace format (trace.h), plus the
-// cached-workload factory the sweep driver's replay cache is built on.
+// Record/replay workload wrappers over the trace format (trace.h), used by
+// `memdis trace record|replay`.
 //
 // TraceRecordWorkload wraps a live workload: it runs the real numerics with
 // a TraceWriter attached as the engine's trace sink, then persists the
@@ -63,31 +63,12 @@ class TraceReplayWorkload : public workloads::Workload {
   /// allocator returns a base that differs from the recorded one.
   workloads::WorkloadResult run(sim::Engine& eng) override;
 
+  /// A trace file carries no parameter provenance, so a replay keeps the
+  /// base class's empty functional id and opts out of repricing.
   [[nodiscard]] const TraceData& data() const { return data_; }
-
-  /// A trace file carries no parameter provenance, so replay defaults to
-  /// opted out of repricing. make_cached_workload knows the (app, scale,
-  /// seed) key it loaded the trace for and injects the live workload's id
-  /// here — replay is bit-identical to live, so the id is equally valid.
-  void set_functional_id(std::string id) { functional_id_ = std::move(id); }
-  [[nodiscard]] std::string functional_id() const override { return functional_id_; }
 
  private:
   TraceData data_;
-  std::string functional_id_;
 };
-
-/// Canonical trace filename for a (app, scale, seed) key inside a cache
-/// directory: "<app>_s<scale>_<seed>.mdtr".
-[[nodiscard]] std::string trace_cache_path(const std::string& dir, workloads::App app,
-                                           int scale, std::uint64_t seed);
-
-/// The replay cache's factory: returns a TraceReplayWorkload when `dir`
-/// already holds a trace for the key (throwing std::runtime_error if that
-/// file is unreadable or corrupt — a poisoned cache must not silently fall
-/// back to a slow live run), otherwise a TraceRecordWorkload wrapping the
-/// live workload so the first grid point to need the key records it.
-[[nodiscard]] std::unique_ptr<workloads::Workload> make_cached_workload(
-    const std::string& dir, workloads::App app, int scale, std::uint64_t seed);
 
 }  // namespace memdis::trace

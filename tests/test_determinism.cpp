@@ -6,7 +6,6 @@
 // golden run cannot catch.
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <sstream>
 #include <string>
 
@@ -49,37 +48,6 @@ class ScopedLinkModel {
 
  private:
   memsim::LinkModelKind saved_;
-};
-
-/// Scoped replay cache rooted in a fresh per-test directory: sweeps inside
-/// the scope record each (app, scale, seed) stream on first use and replay
-/// it afterwards. The directory and the process-wide setting are torn down
-/// on exit.
-class ScopedReplayCache {
- public:
-  explicit ScopedReplayCache(const std::string& tag)
-      : dir_(std::filesystem::path(::testing::TempDir()) / ("memdis_replay_" + tag)) {
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-    core::set_replay_cache_dir(dir_.string());
-  }
-  ~ScopedReplayCache() {
-    core::set_replay_cache_dir({});
-    std::error_code ec;
-    std::filesystem::remove_all(dir_, ec);
-  }
-  ScopedReplayCache(const ScopedReplayCache&) = delete;
-  ScopedReplayCache& operator=(const ScopedReplayCache&) = delete;
-
-  [[nodiscard]] std::size_t trace_files() const {
-    std::size_t n = 0;
-    for (const auto& e : std::filesystem::directory_iterator(dir_))
-      if (e.path().extension() == ".mdtr") ++n;
-    return n;
-  }
-
- private:
-  std::filesystem::path dir_;
 };
 
 struct Artifacts {
@@ -360,62 +328,6 @@ TEST(Determinism, ExtStagedMigrationRepriceIsANoOp) {
   }
   EXPECT_EQ(off.csv, on.csv);
   EXPECT_EQ(off.json, on.json);
-}
-
-// ---- trace record/replay vs live --------------------------------------------
-// The correctness gate for the replay cache (src/trace/): a sweep whose
-// workload streams are recorded on first use and replayed from disk
-// afterwards must produce byte-identical artifacts to the all-live sweep.
-// Pass 1 through the cache exercises the recording sink (attached sink +
-// live numerics), pass 2 the replayer (no numerics, coalesced kStream
-// records riding the bulk fast path) — both against the live baseline.
-
-TEST(Determinism, Fig06ReplayCacheMatchesLive) {
-#ifdef MEMDIS_UNDER_ASAN
-  GTEST_SKIP() << "triple fig06 run exceeds the sanitized scenario timeout";
-#endif
-  const Artifacts live = artifacts_of("fig06", 1);
-  ScopedReplayCache cache("fig06");
-  const Artifacts recorded = artifacts_of("fig06", 1);
-  EXPECT_EQ(live.csv, recorded.csv);
-  EXPECT_EQ(live.json, recorded.json);
-  EXPECT_GT(cache.trace_files(), 0u);
-  const Artifacts replayed = artifacts_of("fig06", 1);
-  EXPECT_EQ(live.csv, replayed.csv);
-  EXPECT_EQ(live.json, replayed.json);
-  EXPECT_FALSE(live.csv.empty());
-}
-
-/// Replay must stay exact under the queue link model too — the trace layer
-/// is model-agnostic (it records the call stream, not its pricing), and
-/// this pins that down.
-TEST(Determinism, Fig06ReplayCacheMatchesLiveUnderQueueModel) {
-#ifdef MEMDIS_UNDER_ASAN
-  GTEST_SKIP() << "triple fig06 run exceeds the sanitized scenario timeout";
-#endif
-  ScopedLinkModel queue_mode(memsim::LinkModelKind::kQueue);
-  const Artifacts live = artifacts_of("fig06", 1);
-  ScopedReplayCache cache("fig06_queue");
-  const Artifacts recorded = artifacts_of("fig06", 1);
-  const Artifacts replayed = artifacts_of("fig06", 1);
-  EXPECT_EQ(live.csv, recorded.csv);
-  EXPECT_EQ(live.csv, replayed.csv);
-  EXPECT_EQ(live.json, replayed.json);
-}
-
-/// ext-queue-contention drives the two-class queues and the inflation
-/// trace; a replayed run must reproduce its artifacts exactly as well.
-TEST(Determinism, ExtQueueContentionReplayCacheMatchesLive) {
-#ifdef MEMDIS_UNDER_ASAN
-  GTEST_SKIP() << "triple scenario run exceeds the sanitized scenario timeout";
-#endif
-  const Artifacts live = artifacts_of("ext-queue-contention", 1);
-  ScopedReplayCache cache("queue_contention");
-  const Artifacts recorded = artifacts_of("ext-queue-contention", 1);
-  const Artifacts replayed = artifacts_of("ext-queue-contention", 1);
-  EXPECT_EQ(live.csv, recorded.csv);
-  EXPECT_EQ(live.csv, replayed.csv);
-  EXPECT_EQ(live.json, replayed.json);
 }
 
 }  // namespace

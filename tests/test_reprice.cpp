@@ -29,7 +29,7 @@ namespace {
 
 // Saves the process-wide reprice switch, clears the profile cache, and
 // restores both on destruction — the same Scoped-override idiom the other
-// suites use for link-model and fast-forward defaults.
+// suites use for the link-model default.
 class ScopedReprice {
  public:
   explicit ScopedReprice(bool on) : saved_(reprice_enabled()) {

@@ -2,10 +2,14 @@
 // accounting, the time model's monotonicity properties, and determinism.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <optional>
 #include <tuple>
+#include <vector>
 
 #include "common/contract.h"
+#include "common/rng.h"
 #include "sim/array.h"
 #include "sim/engine.h"
 
@@ -281,6 +285,70 @@ TEST_P(LoiMonotoneTest, HigherLoiNeverFaster) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Levels, LoiMonotoneTest, ::testing::Values(0.0, 10.0, 20.0, 30.0, 40.0));
+
+// Numeric contract of the cost model: whatever counters an epoch carries
+// (zeros, small values, values near 2^63 bytes) and whatever the link
+// state (LoI 0..kMaxLoi, queue windows holding extreme observations),
+// price_epoch returns a finite duration no shorter than the migration time
+// it was charged, and finite demand multipliers of at least 1.
+TEST(PriceEpoch, NumericContractHoldsOnRandomCounters) {
+  Xoshiro256 rng(20231112);
+  const auto draw = [&rng]() -> std::uint64_t {
+    switch (rng.uniform_below(4)) {
+      case 0: return 0;
+      case 1: return rng.uniform_below(1u << 20);
+      case 2: return (std::uint64_t{1} << 63) - rng.uniform_below(1u << 20);
+      default: return rng() >> 1;
+    }
+  };
+  const auto draw_loi = [&rng]() {
+    switch (rng.uniform_below(3)) {
+      case 0: return 0.0;
+      case 1: return memsim::LinkModel::kMaxLoi;
+      default: return rng.uniform(0.0, memsim::LinkModel::kMaxLoi);
+    }
+  };
+  const memsim::MachineConfig machines[] = {
+      memsim::MachineConfig::skylake_testbed(), memsim::MachineConfig::cxl_direct_attached(),
+      memsim::MachineConfig::three_tier_cxl(), memsim::MachineConfig::hybrid_split_pool()};
+  for (const auto kind : {memsim::LinkModelKind::kLoi, memsim::LinkModelKind::kQueue}) {
+    for (const auto& m : machines) {
+      const auto n = static_cast<std::size_t>(m.num_tiers());
+      for (int trial = 0; trial < 500; ++trial) {
+        std::vector<std::optional<memsim::LinkModel>> links(n);
+        std::vector<std::optional<memsim::QueueModel>> queues(n);
+        for (memsim::TierId t = 0; t < m.num_tiers(); ++t) {
+          if (!m.tier(t).is_fabric()) continue;
+          auto& link = links[static_cast<std::size_t>(t)].emplace(m.tier(t));
+          link.set_background_loi(draw_loi());
+          if (kind != memsim::LinkModelKind::kQueue) continue;
+          auto& q = queues[static_cast<std::size_t>(t)].emplace(m.tier(t));
+          for (std::uint64_t i = rng.uniform_below(4); i > 0; --i) {
+            const double seconds = rng.uniform_below(2) == 0 ? 0.0 : rng.uniform(1e-9, 1.0);
+            q.observe(memsim::TrafficClass::kDemand, static_cast<double>(draw()), seconds);
+            q.observe(memsim::TrafficClass::kBulk, static_cast<double>(draw()), seconds);
+          }
+        }
+        std::vector<std::uint64_t> bytes(n), demand(n), migration(n);
+        for (std::size_t t = 0; t < n; ++t) {
+          bytes[t] = draw();
+          demand[t] = draw();
+          migration[t] = draw();
+        }
+        const double migration_s = rng.uniform_below(2) == 0 ? 0.0 : rng.uniform(0.0, 10.0);
+        const EpochPricing p = price_epoch(m, kind, rng.uniform(0.0, 2.0), draw(), bytes,
+                                           demand, migration, migration_s, links, queues);
+        ASSERT_TRUE(std::isfinite(p.duration_s)) << "trial " << trial;
+        EXPECT_GE(p.duration_s, migration_s) << "trial " << trial;
+        ASSERT_EQ(p.link_demand_mult.size(), n);
+        for (const double mult : p.link_demand_mult) {
+          EXPECT_TRUE(std::isfinite(mult)) << "trial " << trial;
+          EXPECT_GE(mult, 1.0) << "trial " << trial;
+        }
+      }
+    }
+  }
+}
 
 TEST(Engine, EpochLinkTrafficReported) {
   EngineConfig cfg;

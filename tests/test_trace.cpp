@@ -1,6 +1,7 @@
 // Trace-format unit suite: on-disk round-trips, the periodic detector's
 // RLE boundaries, corrupt-input rejection, replay exactness against the
-// element-wise engine, and the fast-forward tolerance contract.
+// element-wise engine and against a real recorded application, and the
+// off-only stubs of the removed fast-forward and replay-cache modes.
 //
 // The replay gate here is deliberately stronger than the sweep-level
 // byte-compares in test_determinism: it compares the *engine state* —
@@ -9,7 +10,6 @@
 // that happened to cancel out in CSV metrics would still be caught.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <functional>
@@ -17,6 +17,8 @@
 #include <string>
 #include <vector>
 
+#include "common/contract.h"
+#include "core/sweep.h"
 #include "sim/engine.h"
 #include "trace/trace.h"
 #include "trace/trace_workload.h"
@@ -378,110 +380,85 @@ TEST(TraceReplay, DivergingAllocationFailsLoudly) {
   EXPECT_THROW(wl.run(eng), std::runtime_error);
 }
 
-// ---- cached-workload factory ------------------------------------------------
+// ---- real-app record/replay --------------------------------------------------
 
-TEST(TraceCache, RecordThenReplayThroughFactory) {
+/// The path `memdis trace record` / `memdis trace replay` takes, on a real
+/// workload: TraceRecordWorkload over BFS writes a .mdtr file, TraceData::load
+/// reads it back, and TraceReplayWorkload must reproduce the live engine
+/// state and the recorded WorkloadResult exactly. Run under both link
+/// models; the trace itself is model-agnostic (it records the call stream,
+/// not its pricing), so both recordings must be the same bytes.
+TEST(TraceReplay, RecordedAppReplaysBitIdentical) {
 #ifdef MEMDIS_UNDER_ASAN
-  GTEST_SKIP() << "full workload run exceeds the sanitized unit budget";
+  GTEST_SKIP() << "full workload runs exceed the sanitized unit budget";
 #endif
-  const fs::path dir = fs::path(::testing::TempDir()) / "memdis_factory_cache";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-
-  const auto key = trace::trace_cache_path(dir.string(), workloads::App::kBFS, 1, 42);
-  EXPECT_FALSE(fs::exists(key));
-
-  // First factory call wraps the live workload and records on run.
-  auto rec = trace::make_cached_workload(dir.string(), workloads::App::kBFS, 1, 42);
-  EngineState live;
-  workloads::WorkloadResult live_result;
-  {
-    sim::Engine eng;
-    live_result = rec->run(eng);
-    eng.finish();
-    live = state_of(eng);
-  }
-  EXPECT_TRUE(fs::exists(key));
-
-  // Second factory call loads the trace; replay reproduces engine state
-  // and the recorded workload result.
-  auto rep = trace::make_cached_workload(dir.string(), workloads::App::kBFS, 1, 42);
-  EngineState replayed;
-  workloads::WorkloadResult replay_result;
-  {
-    sim::Engine eng;
-    replay_result = rep->run(eng);
-    eng.finish();
-    replayed = state_of(eng);
-  }
-  expect_states_equal(live, replayed);
-  EXPECT_EQ(live_result.verified, replay_result.verified);
-  EXPECT_EQ(live_result.residual, replay_result.residual);
-  EXPECT_EQ(live_result.detail, replay_result.detail);
-  fs::remove_all(dir);
-}
-
-TEST(TraceCache, PoisonedCacheFileThrowsInsteadOfFallingBack) {
-  const fs::path dir = fs::path(::testing::TempDir()) / "memdis_poisoned_cache";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  const auto key = trace::trace_cache_path(dir.string(), workloads::App::kHPL, 1, 42);
-  std::ofstream(key, std::ios::binary) << "not a trace";
-  EXPECT_THROW(
-      (void)trace::make_cached_workload(dir.string(), workloads::App::kHPL, 1, 42),
-      std::runtime_error);
-  fs::remove_all(dir);
-}
-
-// ---- fast-forward tolerance contract ----------------------------------------
-
-/// The fast-forward contract (docs/TRACE.md): on a steady periodic stream
-/// with a settled resident set, the analytic path must (a) actually engage,
-/// (b) keep integer counters exact, and (c) keep epoch-priced time within
-/// 0.1% of the bit-exact path. The pre-touch pass is what settles the
-/// resident set — fast-forward correctly refuses to engage while
-/// first-touch placement is still changing per-epoch state.
-TEST(FastForward, SteadyStreamWithinTolerance) {
-#ifdef MEMDIS_UNDER_ASAN
-  GTEST_SKIP() << "multi-epoch stream runs exceed the sanitized unit budget";
-#endif
-  const std::uint64_t bytes = 192ull << 20;
-  const auto run_one = [&](bool ff) {
+  std::vector<std::uint8_t> first_payload;
+  for (const auto model : {memsim::LinkModelKind::kLoi, memsim::LinkModelKind::kQueue}) {
+    SCOPED_TRACE(model == memsim::LinkModelKind::kLoi ? "loi" : "queue");
     sim::EngineConfig cfg;
-    cfg.fast_forward = ff;
-    sim::Engine eng(cfg);
-    const auto r = eng.alloc(bytes, memsim::MemPolicy::first_touch(), "a");
-    eng.store_range(r.base, bytes, 8);  // settle the resident set
-    sim::StreamLane lane{r.base, 8, 8, sim::StreamLane::Op::kLoad};
-    for (int rep = 0; rep < 3; ++rep) eng.stream_range(&lane, 1, bytes / 8);
-    eng.finish();
-    EngineState s = state_of(eng);
-    return std::make_pair(s, eng.fast_forwarded_epochs());
-  };
+    cfg.link_model = model;
+    const fs::path path = temp_file("memdis_bfs_roundtrip.mdtr");
+    fs::remove(path);
 
-  const auto [exact, exact_ff] = run_one(false);
-  const auto [fast, fast_ff] = run_one(true);
+    trace::TraceRecordWorkload recorder(workloads::make_workload(workloads::App::kBFS, 1, 42),
+                                        "BFS", 1, 42, path.string());
+    EngineState live;
+    workloads::WorkloadResult live_result;
+    {
+      sim::Engine eng(cfg);
+      live_result = recorder.run(eng);
+      eng.finish();
+      live = state_of(eng);
+    }
 
-  EXPECT_EQ(exact_ff, 0u);
-  EXPECT_GT(fast_ff, 0u);
-  // Integer totals are synthesized in closed form — exact, not approximate.
-  EXPECT_EQ(exact.counters.loads, fast.counters.loads);
-  EXPECT_EQ(exact.counters.stores, fast.counters.stores);
-  EXPECT_EQ(exact.flops, fast.flops);
-  EXPECT_EQ(exact.epochs, fast.epochs);
-  // Priced time carries the steady-state approximation; the contract caps
-  // it at 0.1% of the exact path.
-  ASSERT_GT(exact.elapsed, 0.0);
-  const double dev = std::abs(fast.elapsed - exact.elapsed) / exact.elapsed;
-  EXPECT_LE(dev, 1e-3) << "fast-forward elapsed deviation " << dev;
+    std::string error;
+    auto data = trace::TraceData::load(path.string(), error);
+    ASSERT_TRUE(data.has_value()) << error;
+    if (first_payload.empty()) {
+      first_payload = data->payload;
+    } else {
+      EXPECT_EQ(first_payload, data->payload);
+    }
+
+    trace::TraceReplayWorkload replayer(std::move(*data));
+    EXPECT_TRUE(replayer.functional_id().empty());
+    EngineState replayed;
+    workloads::WorkloadResult replay_result;
+    {
+      sim::Engine eng(cfg);
+      replay_result = replayer.run(eng);
+      eng.finish();
+      replayed = state_of(eng);
+    }
+    expect_states_equal(live, replayed);
+    EXPECT_TRUE(live_result.verified);
+    EXPECT_EQ(live_result.verified, replay_result.verified);
+    EXPECT_EQ(live_result.residual, replay_result.residual);
+    EXPECT_EQ(live_result.detail, replay_result.detail);
+    fs::remove(path);
+  }
 }
 
-/// Fast-forward defaults off, and the default engine path is bit-exact:
-/// EngineConfig's initializer must track the process-wide default.
-TEST(FastForward, DefaultsOff) {
+// ---- removed modes ------------------------------------------------------------
+
+/// Fast-forward and the sweep replay cache are gone; their setters and the
+/// EngineConfig field survive only as off-only stubs. Off is accepted and
+/// reads back off; anything else is a contract violation.
+TEST(RemovedModes, StubsAcceptOnlyOff) {
+  EXPECT_THROW(sim::set_fast_forward_default(true), contract_violation);
+  sim::EngineConfig cfg;
+  cfg.fast_forward = true;
+  EXPECT_THROW(sim::Engine{cfg}, contract_violation);
+  EXPECT_THROW(core::set_replay_cache_dir("x"), contract_violation);
+
+  sim::set_fast_forward_default(false);
+  core::set_replay_cache_dir("");
   EXPECT_FALSE(sim::fast_forward_default());
-  const sim::EngineConfig cfg;
-  EXPECT_FALSE(cfg.fast_forward);
+  EXPECT_TRUE(core::replay_cache_dir().empty());
+  const sim::EngineConfig defaults;
+  EXPECT_FALSE(defaults.fast_forward);
+  sim::Engine eng(defaults);
+  eng.finish();
 }
 
 }  // namespace

@@ -13,7 +13,7 @@
 //   memdis report  [--scale 1]
 //   memdis scenarios
 //   memdis sweep   --scenario fig06 [--jobs N] [--out dir] [--csv file]
-//                  [--replay-cache dir] [--reprice on|off]
+//                  [--reprice on|off]
 //   memdis fleet   [--arrivals poisson:0.12:1000] [--pools 2] [--policy loi-aware]
 //                  [--migration on] [--jobs N] [--out dir] [--csv file]
 //   memdis plan    --app Hypre --fabric three-tier [--ratio 0.75]
@@ -23,9 +23,7 @@
 //   memdis trace   info   --trace file.mdtr
 //
 // `--link-model loi|queue` selects the fabric contention model for any
-// subcommand (default loi, the closed form); `--fast-forward on` enables
-// the steady-state epoch fast-forward (off by default, tolerance-gated —
-// docs/TRACE.md).
+// subcommand (default loi, the closed form).
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -79,10 +77,8 @@ struct Args {
   std::optional<std::string> scenario;
   unsigned jobs = 1;
   std::optional<std::string> out_dir;
-  std::optional<std::string> trace_path;    ///< --trace FILE
-  std::optional<std::string> replay_cache;  ///< --replay-cache DIR
-  std::optional<bool> fast_forward;         ///< --fast-forward on|off
-  std::optional<bool> reprice;              ///< --reprice on|off
+  std::optional<std::string> trace_path;  ///< --trace FILE
+  std::optional<bool> reprice;            ///< --reprice on|off
   // fleet subcommand
   std::string arrivals = "poisson:0.12:1000";  ///< --arrivals SPEC
   std::size_t pools = 2;                       ///< --pools N
@@ -134,11 +130,6 @@ void usage(std::ostream& os) {
      << "  --link-model M    fabric link contention model: loi (closed form,\n"
      << "                    default) or queue (two-class demand/bulk queues)\n"
      << "  --trace FILE      trace file (.mdtr) for the trace subcommand\n"
-     << "  --replay-cache D  sweep: record each (app, scale, seed) stream once\n"
-     << "                    into D and replay it into every other grid point\n"
-     << "                    (created if missing; artifacts byte-identical)\n"
-     << "  --fast-forward M  on|off: closed-form steady-state epoch synthesis\n"
-     << "                    (default off — the bit-exact path; docs/TRACE.md)\n"
      << "  --reprice M       on|off: epoch-profile memoization — one full run\n"
      << "                    per functional key, every timing-only variation\n"
      << "                    re-priced in O(epochs), byte-identical artifacts\n"
@@ -350,17 +341,6 @@ std::optional<Args> parse(int argc, char** argv) {
       args.out_dir = *value;
     } else if (flag == "--trace") {
       args.trace_path = *value;
-    } else if (flag == "--replay-cache") {
-      args.replay_cache = *value;
-    } else if (flag == "--fast-forward") {
-      if (*value == "on") {
-        args.fast_forward = true;
-      } else if (*value == "off") {
-        args.fast_forward = false;
-      } else {
-        std::cerr << "error: --fast-forward expects on or off, got '" << *value << "'\n";
-        return std::nullopt;
-      }
     } else if (flag == "--reprice") {
       if (*value == "on") {
         args.reprice = true;
@@ -879,7 +859,6 @@ int cmd_trace(const Args& args) {
   t.add_row({"verified (recorded)", result.verified ? "yes" : "NO"});
   t.add_row({"simulated time", Table::num(eng.elapsed_seconds() * 1e3, 3) + " ms"});
   t.add_row({"epochs", std::to_string(eng.epochs().size())});
-  t.add_row({"fast-forwarded epochs", std::to_string(eng.fast_forwarded_epochs())});
   t.print(std::cout);
   return result.verified ? 0 : 1;
 }
@@ -914,24 +893,7 @@ int main(int argc, char** argv) {
   // default, so setting it once here covers profiler runs, sweeps, and the
   // planner alike (scenarios that pin a model explicitly still win).
   sim::set_link_model_default(args->link_model);
-  if (args->fast_forward) sim::set_fast_forward_default(*args->fast_forward);
   if (args->reprice) core::set_reprice_enabled(*args->reprice);
-  if (args->replay_cache) {
-    std::error_code ec;
-    if (std::filesystem::exists(*args->replay_cache, ec) &&
-        !std::filesystem::is_directory(*args->replay_cache, ec)) {
-      std::cerr << "error: --replay-cache: '" << *args->replay_cache
-                << "' exists and is not a directory\n";
-      return 2;
-    }
-    std::filesystem::create_directories(*args->replay_cache, ec);
-    if (ec) {
-      std::cerr << "error: --replay-cache: cannot create '" << *args->replay_cache
-                << "': " << ec.message() << "\n";
-      return 2;
-    }
-    core::set_replay_cache_dir(*args->replay_cache);
-  }
   try {
     if (args->command == "trace") return cmd_trace(*args);
     if (args->command == "machine") return cmd_machine(*args);
