@@ -20,6 +20,7 @@
 #include "bench_util.h"
 #include "common/table.h"
 #include "core/epoch_profile.h"
+#include "core/scenario_registry.h"
 #include "core/sweep.h"
 
 int main(int argc, char** argv) {

@@ -1,13 +1,8 @@
 // Shared helpers for the figure/table benchmark binaries.
 #pragma once
 
-#include <cstdlib>
-#include <exception>
-#include <filesystem>
 #include <iostream>
 #include <string>
-
-#include "core/scenario_registry.h"
 
 namespace memdis::bench {
 
@@ -18,54 +13,6 @@ inline void banner(const std::string& artifact, const std::string& caption) {
             << "(reproduction of arXiv:2308.14780; absolute numbers come from\n"
             << " the simulated testbed, the reported *shape* is the target)\n"
             << "==============================================================\n";
-}
-
-/// Thin main body for benches whose figure is a registered sweep scenario:
-/// looks the scenario up, runs it on the parallel sweep engine, and prints
-/// its summary. Accepts `--jobs N` and `--out DIR`; jobs defaults to the
-/// MEMDIS_JOBS environment variable, then to 1 (serial, deterministic
-/// either way).
-inline int scenario_main(const char* name, int argc = 0, char** argv = nullptr) {
-  const auto* scenario = core::ScenarioRegistry::instance().find(name);
-  if (!scenario) {
-    std::cerr << "error: scenario '" << name << "' is not registered\n";
-    return 2;
-  }
-  core::SweepOptions options;
-  if (const char* env = std::getenv("MEMDIS_JOBS"))
-    options.jobs = static_cast<unsigned>(std::atoi(env));
-  std::string out_dir;
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag != "--jobs" && flag != "--out") {
-      std::cerr << "error: unknown option " << flag << " (expected --jobs N, --out DIR)\n";
-      return 2;
-    }
-    if (i + 1 >= argc) {
-      std::cerr << "error: missing value for " << flag << "\n";
-      return 2;
-    }
-    if (flag == "--jobs") options.jobs = static_cast<unsigned>(std::atoi(argv[++i]));
-    if (flag == "--out") out_dir = argv[++i];
-  }
-  banner(scenario->artifact, scenario->caption);
-  try {
-    const auto result = core::run_scenario(*scenario, options);
-    std::cout << result.rows.size() << " configurations in " << result.wall_seconds
-              << " s (jobs=" << options.jobs << ")\n\n";
-    if (scenario->summarize) scenario->summarize(result, std::cout);
-    if (!out_dir.empty()) {
-      std::filesystem::create_directories(out_dir);
-      result.write_csv_file(out_dir + "/" + scenario->name + ".csv");
-      result.write_json_file(out_dir + "/" + scenario->name + ".json");
-      std::cout << "\nartifacts written to " << out_dir << "/" << scenario->name
-                << ".{csv,json}\n";
-    }
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 1;
-  }
-  return 0;
 }
 
 }  // namespace memdis::bench

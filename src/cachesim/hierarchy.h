@@ -111,14 +111,6 @@ class CacheHierarchy {
     l2_.restore(s.l2);
     l3_.restore(s.l3);
   }
-  /// Combined digest over the three levels' observable state — equal
-  /// digests prove a replayed run left the caches bit-identical to live.
-  [[nodiscard]] std::uint64_t digest() const {
-    std::uint64_t h = l1_.digest();
-    h = h * 1099511628211ULL ^ l2_.digest();
-    h = h * 1099511628211ULL ^ l3_.digest();
-    return h;
-  }
 
   void set_prefetch_enabled(bool on) { prefetcher_.set_enabled(on); }
   [[nodiscard]] bool prefetch_enabled() const { return prefetcher_.enabled(); }

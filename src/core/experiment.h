@@ -49,9 +49,8 @@ struct RunConfig {
   /// Takes precedence over remote_capacity_ratio when both are set.
   std::optional<std::vector<double>> capacity_fractions;
   /// Fabric link contention model (see sim::EngineConfig::link_model):
-  /// `kLoi` is the closed form, `kQueue` the two-class queue model. Follows
-  /// the process-wide default, which `memdis --link-model` overrides.
-  memsim::LinkModelKind link_model = sim::link_model_default();
+  /// `kLoi` is the closed form, `kQueue` the two-class queue model.
+  memsim::LinkModelKind link_model = memsim::LinkModelKind::kLoi;
 };
 
 /// Everything captured from one run.

@@ -1,7 +1,7 @@
 // Scenario registry: every paper figure (and extension study) that is a
 // sweep registers here under a stable name, so one front end — `memdis
 // sweep --scenario NAME` — can expand, parallelise, and archive any of
-// them. Bench binaries shrink to thin lookups of the same entries.
+// them.
 #pragma once
 
 #include <functional>

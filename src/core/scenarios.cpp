@@ -364,6 +364,7 @@ void summarize_fig12(const SweepResult& result, std::ostream& os) {
 std::vector<Metric> measure_ext_cxl(const SweepPoint& point) {
   RunConfig cfg;
   cfg.machine = machine_for_fabric(point.fabric);
+  cfg.link_model = point.link_model;
 
   auto wl_local = point.make_workload();
   const auto local = run_workload(*wl_local, cfg);
@@ -420,6 +421,7 @@ std::vector<Metric> measure_ext_interleave(const SweepPoint& point) {
   sim::EngineConfig cfg;
   cfg.machine = machine_for_fabric(point.fabric);
   cfg.default_policy_override = policy_of(point.variant);
+  cfg.link_model = point.link_model;
   sim::Engine eng(cfg);
   (void)wl->run(eng);
   eng.finish();
@@ -474,6 +476,7 @@ RunConfig spill_chain_config(const SweepPoint& point) {
   }
   cfg.background_loi = point.loi;
   cfg.prefetch_enabled = point.prefetch;
+  cfg.link_model = point.link_model;
   return cfg;
 }
 
@@ -527,6 +530,7 @@ void summarize_ext_three_tier(const SweepResult& result, std::ostream& os) {
 std::vector<Metric> measure_ext_hybrid(const SweepPoint& point) {
   RunConfig cfg;
   cfg.machine = machine_for_fabric(point.fabric);
+  cfg.link_model = point.link_model;
 
   auto wl_local = point.make_workload();
   const auto local = run_workload(*wl_local, cfg);
@@ -588,6 +592,7 @@ StagedRun run_with_planner(const SweepPoint& point, bool allow_staging) {
   cfg.machine =
       machine_with_spill(machine_for_fabric(point.fabric), r, wl->footprint_bytes());
   cfg.background_loi_per_tier = per_link_loi_of(point.variant);
+  cfg.link_model = point.link_model;
   // Small epochs so the daemon gets frequent scan opportunities.
   cfg.epoch_accesses = 250'000;
   sim::Engine eng(cfg);
@@ -684,6 +689,7 @@ TransientRun run_under_wave(const SweepPoint& point, const memsim::LoiSchedule& 
   const double r = point.ratio == kNodeOnly ? 0.5 : point.ratio;
   cfg.machine = machine_with_spill(machine_for_fabric(point.fabric), r, wl->footprint_bytes());
   cfg.loi_schedule = schedule;
+  cfg.link_model = point.link_model;
   cfg.epoch_accesses = 250'000;  // frequent scan opportunities
   sim::Engine eng(cfg);
 

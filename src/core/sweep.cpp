@@ -46,6 +46,7 @@ RunConfig SweepPoint::run_config() const {
   rc.background_loi = loi;
   rc.prefetch_enabled = prefetch;
   if (ratio != kNodeOnly) rc.remote_capacity_ratio = ratio;
+  rc.link_model = link_model;
   return rc;
 }
 
@@ -60,10 +61,10 @@ std::unique_ptr<workloads::Workload> SweepPoint::make_workload() const {
 }
 
 std::string SweepPoint::functional_group_key() const {
-  // Everything but `loi` (the timing axis) and `index` (the row slot).
-  // Coarser than core::functional_key — that one sees the actual workload
-  // parameters and shaped machine — but grouping only schedules waves;
-  // the repricer's own key decides what is actually reused.
+  // Everything but the timing knobs `loi` and `link_model`, and `index`
+  // (the row slot). Coarser than core::functional_key — that one sees the
+  // actual workload parameters and shaped machine — but grouping only
+  // schedules waves; the repricer's own key decides what is actually reused.
   std::string key = workloads::app_name(app);
   key += '/';
   key += std::to_string(scale);
@@ -112,6 +113,7 @@ std::vector<SweepPoint> SweepSpec::expand() const {
                              ? SplitMix64(base_seed ^ (0x9e3779b97f4a7c15ULL * (p.index + 1)))
                                    .next()
                              : base_seed;
+                p.link_model = link_model;
                 points.push_back(std::move(p));
               }
   return points;

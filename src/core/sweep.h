@@ -58,15 +58,18 @@ struct SweepPoint {
   bool prefetch = true;
   std::string variant;        ///< scenario-specific knob (e.g. BFS variant)
   std::uint64_t seed = 0;     ///< per-task RNG seed (deterministic)
+  /// Fabric link contention model, copied from SweepSpec::link_model.
+  memsim::LinkModelKind link_model = memsim::LinkModelKind::kLoi;
 
   /// RunConfig for this point: machine preset for `fabric`, the capacity
-  /// ratio (unless kNodeOnly), background LoI, and the prefetch switch.
+  /// ratio (unless kNodeOnly), background LoI, the prefetch switch and the
+  /// link model.
   [[nodiscard]] RunConfig run_config() const;
   /// Workload instance for this point, seeded with the per-task seed.
   [[nodiscard]] std::unique_ptr<workloads::Workload> make_workload() const;
 
   /// Groups grid points that share a functional half (everything except
-  /// `loi`, the grid's timing axis — and `index`, the row slot). When
+  /// the timing knobs `loi` and `link_model`, and `index`, the row slot). When
   /// repricing is on, run_sweep schedules one capture per group before the
   /// rest of the group re-prices (see core/epoch_profile.h).
   [[nodiscard]] std::string functional_group_key() const;
@@ -96,6 +99,9 @@ struct SweepSpec {
   /// every point then uses base_seed verbatim, so axis effects are not
   /// confounded with seed-driven input randomness.
   bool seed_per_task = true;
+  /// Fabric link contention model for every point (not an axis: the CSV
+  /// and JSON columns do not name it).
+  memsim::LinkModelKind link_model = memsim::LinkModelKind::kLoi;
 
   [[nodiscard]] std::size_t size() const;
 

@@ -1,7 +1,6 @@
 #include "sim/engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 
 #include "common/contract.h"
@@ -9,21 +8,18 @@
 
 namespace memdis::sim {
 
-namespace {
-std::atomic<bool> g_bulk_fast_path_default{true};
-std::atomic<memsim::LinkModelKind> g_link_model_default{memsim::LinkModelKind::kLoi};
-}  // namespace
-
-bool bulk_fast_path_default() { return g_bulk_fast_path_default.load(std::memory_order_relaxed); }
+// Stubs pinned by the frozen perfbench/ harness (see engine.h).
+bool bulk_fast_path_default() { return true; }
 void set_bulk_fast_path_default(bool on) {
-  g_bulk_fast_path_default.store(on, std::memory_order_relaxed);
+  expects(on, "the process-wide bulk-path default has been removed; set "
+              "EngineConfig::bulk_fast_path per run");
 }
 
-memsim::LinkModelKind link_model_default() {
-  return g_link_model_default.load(std::memory_order_relaxed);
-}
+memsim::LinkModelKind link_model_default() { return memsim::LinkModelKind::kLoi; }
 void set_link_model_default(memsim::LinkModelKind kind) {
-  g_link_model_default.store(kind, std::memory_order_relaxed);
+  expects(kind == memsim::LinkModelKind::kLoi,
+          "the process-wide link-model default has been removed; set the link "
+          "model per run");
 }
 
 bool fast_forward_default() { return false; }

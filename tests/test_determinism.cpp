@@ -8,59 +8,36 @@
 
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <utility>
 
 #include "common/simd.h"
 #include "core/epoch_profile.h"
+#include "core/migration.h"
 #include "core/scenario_registry.h"
 #include "core/sweep.h"
+#include "engine_run.h"
 #include "sim/engine.h"
 
 namespace memdis {
 namespace {
-
-/// Scoped override of the engine-wide bulk-fast-path default: everything
-/// run inside the scope decomposes range calls into the element-wise
-/// reference loops.
-class ScopedElementWise {
- public:
-  ScopedElementWise() : saved_(sim::bulk_fast_path_default()) {
-    sim::set_bulk_fast_path_default(false);
-  }
-  ~ScopedElementWise() { sim::set_bulk_fast_path_default(saved_); }
-  ScopedElementWise(const ScopedElementWise&) = delete;
-  ScopedElementWise& operator=(const ScopedElementWise&) = delete;
-
- private:
-  bool saved_;
-};
-
-/// Scoped override of the engine-wide link-model default: everything run
-/// inside the scope prices fabric links with the chosen model (unless a
-/// scenario pins one explicitly, as ext-queue-contention does).
-class ScopedLinkModel {
- public:
-  explicit ScopedLinkModel(memsim::LinkModelKind kind) : saved_(sim::link_model_default()) {
-    sim::set_link_model_default(kind);
-  }
-  ~ScopedLinkModel() { sim::set_link_model_default(saved_); }
-  ScopedLinkModel(const ScopedLinkModel&) = delete;
-  ScopedLinkModel& operator=(const ScopedLinkModel&) = delete;
-
- private:
-  memsim::LinkModelKind saved_;
-};
 
 struct Artifacts {
   std::string csv;
   std::string json;
 };
 
-Artifacts artifacts_of(const std::string& scenario_name, unsigned jobs) {
-  const auto* scenario = core::ScenarioRegistry::instance().find(scenario_name);
-  EXPECT_NE(scenario, nullptr) << scenario_name;
+/// Runs a copy of the registered scenario with its spec's link model set
+/// (kLoi is the registered default).
+Artifacts artifacts_of(const std::string& scenario_name, unsigned jobs,
+                       memsim::LinkModelKind link_model = memsim::LinkModelKind::kLoi) {
+  const auto* registered = core::ScenarioRegistry::instance().find(scenario_name);
+  EXPECT_NE(registered, nullptr) << scenario_name;
+  core::Scenario scenario = *registered;
+  scenario.spec.link_model = link_model;
   core::SweepOptions options;
   options.jobs = jobs;
-  const auto result = core::run_scenario(*scenario, options);
+  const auto result = core::run_scenario(scenario, options);
   Artifacts out;
   std::ostringstream csv, json;
   result.write_csv(csv);
@@ -100,17 +77,17 @@ TEST(Determinism, TransientLoiParallelMatchesSerial) {
 }
 
 // ---- bulk fast path vs element-wise reference -------------------------------
-// The correctness gate for the range API: a whole scenario run on the
-// batched fast path must produce byte-identical CSV/JSON artifacts to the
-// same scenario with every range call decomposed into the element-wise
-// loop it documents. fig06 covers all six workloads' ported streaming
-// passes; ext-transient-loi additionally exercises the epoch-callback
-// stack (migration planning + waveform stepping) against batched runs.
+// The correctness gate for the bulk kernel at application scale: the
+// engines fig06 and ext-transient-loi build are each run twice, once on
+// the batched fast path and once with `EngineConfig::bulk_fast_path =
+// false` (every bulk call decomposed into the element-wise loop it
+// documents), and the whole observable run must match bit for bit. Every
+// artifact metric is a function of the state compared here, so this is at
+// least as strict as byte-comparing the scenario artifacts.
 //
-// Under sanitizers these double-scenario runs overshoot the ctest
-// scenario timeout, so they skip there: the sanitized lane still covers
-// the fast path through the unit suite and the other scenario tests,
-// while the byte-compare gate runs in every non-sanitized lane.
+// Under sanitizers these double runs overshoot the ctest scenario
+// timeout, so they skip there: the sanitized lane still covers the fast
+// path through the unit suite (BulkApi) and the other scenario tests.
 
 #if defined(__SANITIZE_ADDRESS__)
 #define MEMDIS_UNDER_ASAN 1
@@ -120,33 +97,84 @@ TEST(Determinism, TransientLoiParallelMatchesSerial) {
 #endif
 #endif
 
-TEST(Determinism, Fig06RangeApiMatchesElementWise) {
+/// fig06's grid (every app at scales 1/2/4), each point run the way its
+/// level-1 profile runs it: one workload instance, prefetch on then off.
+TEST(Determinism, AppsBulkPathMatchesElementWise) {
 #ifdef MEMDIS_UNDER_ASAN
-  GTEST_SKIP() << "double fig06 run exceeds the sanitized scenario timeout";
+  GTEST_SKIP() << "double app runs exceed the sanitized scenario timeout";
 #endif
-  const Artifacts fast = artifacts_of("fig06", 1);
-  Artifacts reference;
-  {
-    ScopedElementWise element_wise;
-    reference = artifacts_of("fig06", 1);
+  const auto* fig06 = core::ScenarioRegistry::instance().find("fig06");
+  ASSERT_NE(fig06, nullptr);
+  for (const auto& point : fig06->spec.expand()) {
+    SCOPED_TRACE(testing::Message() << workloads::app_name(point.app) << " x" << point.scale);
+    const core::RunConfig rc = point.run_config();
+    auto fast_wl = point.make_workload();
+    auto reference_wl = point.make_workload();
+    for (const bool prefetch : {true, false}) {
+      SCOPED_TRACE(prefetch ? "prefetch on" : "prefetch off");
+      const auto run = [&](workloads::Workload& wl, bool bulk) {
+        sim::EngineConfig cfg;
+        cfg.machine = rc.machine;
+        cfg.hierarchy = rc.hierarchy;
+        cfg.link_model = rc.link_model;
+        cfg.bulk_fast_path = bulk;
+        sim::Engine eng(cfg);
+        eng.set_prefetch_enabled(prefetch);
+        return test::finish_run(eng, wl.run(eng));
+      };
+      test::expect_same_run(run(*fast_wl, true), run(*reference_wl, false));
+    }
   }
-  EXPECT_EQ(fast.csv, reference.csv);
-  EXPECT_EQ(fast.json, reference.json);
-  EXPECT_FALSE(fast.csv.empty());
 }
 
-TEST(Determinism, TransientLoiRangeApiMatchesElementWise) {
+/// The epoch-callback stack against batched runs: ext-transient-loi's
+/// engines (Hypre on three-tier at ratios 0.5/0.75 under both square
+/// waves, mirroring run_under_wave in core/scenarios.cpp) with the dynamic
+/// and the static-belief planner attached.
+TEST(Determinism, PlannerUnderWaveBulkPathMatchesElementWise) {
 #ifdef MEMDIS_UNDER_ASAN
-  GTEST_SKIP() << "double scenario run exceeds the sanitized scenario timeout";
+  GTEST_SKIP() << "double planner runs exceed the sanitized scenario timeout";
 #endif
-  const Artifacts fast = artifacts_of("ext-transient-loi", 1);
-  Artifacts reference;
-  {
-    ScopedElementWise element_wise;
-    reference = artifacts_of("ext-transient-loi", 1);
+  for (const double ratio : {0.5, 0.75}) {
+    for (const std::uint64_t period : {8u, 32u}) {
+      memsim::LoiSchedule schedule;
+      schedule.set(1, memsim::LoiWaveform::square(period, 0.5, 85.0, 0.0));
+      const double mean_loi = schedule.waveform(1)->mean();
+      for (const bool static_belief : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "ratio " << ratio << " burst-" << period
+                                        << (static_belief ? " static" : " dynamic"));
+        const auto run = [&](bool bulk) {
+          auto wl = workloads::make_workload(workloads::App::kHypre, 1, 42);
+          sim::EngineConfig cfg;
+          cfg.machine = core::machine_with_spill(core::machine_for_fabric("three-tier"), ratio,
+                                                 wl->footprint_bytes());
+          cfg.loi_schedule = schedule;
+          cfg.epoch_accesses = 250'000;
+          cfg.bulk_fast_path = bulk;
+          sim::Engine eng(cfg);
+          core::MigrationConfig mcfg;
+          mcfg.period_epochs = 1;
+          mcfg.max_pages_per_scan = 64;
+          mcfg.link_budget_pages = 64;
+          mcfg.min_heat = 4;
+          if (static_belief) mcfg.assumed_loi = {0.0, mean_loi, 0.0};
+          core::MigrationRuntime runtime(mcfg);
+          runtime.attach(eng);
+          test::EngineRun engine = test::finish_run(eng, wl->run(eng));
+          return std::pair{std::move(engine),
+                           std::tuple{runtime.pages_promoted(), runtime.pages_demoted(),
+                                      runtime.staged_moves(), runtime.deferred_moves(),
+                                      runtime.self_deferred_moves(),
+                                      test::bits(runtime.transfer_cost_s())}};
+        };
+        const auto [fast, fast_planner] = run(true);
+        const auto [reference, reference_planner] = run(false);
+        test::expect_same_run(fast, reference);
+        EXPECT_EQ(fast_planner, reference_planner);
+        EXPECT_GT(std::get<0>(fast_planner), 0u);
+      }
+    }
   }
-  EXPECT_EQ(fast.csv, reference.csv);
-  EXPECT_EQ(fast.json, reference.json);
 }
 
 // ---- SIMD probe vs forced scalar --------------------------------------------
@@ -189,37 +217,44 @@ TEST(Determinism, Fig06SimdProbeMatchesForcedScalar) {
 // The compat half of `--link-model`: scenarios without bulk traffic carry
 // zero cross-class rates, so running them under the queue model must
 // reproduce the closed-form artifacts byte for byte (fig06 covers all six
-// workloads with no migration runtime attached). Conversely, pinning the
-// default to kLoi must be a no-op for a planner-heavy scenario — the
-// closed-form path is untouched by the queue refactor.
+// workloads with no migration runtime attached).
 
 TEST(Determinism, Fig06QueueModelMatchesLoiModel) {
 #ifdef MEMDIS_UNDER_ASAN
   GTEST_SKIP() << "double fig06 run exceeds the sanitized scenario timeout";
 #endif
   const Artifacts loi = artifacts_of("fig06", 1);
-  Artifacts queued;
-  {
-    ScopedLinkModel queue_mode(memsim::LinkModelKind::kQueue);
-    queued = artifacts_of("fig06", 1);
-  }
+  const Artifacts queued = artifacts_of("fig06", 1, memsim::LinkModelKind::kQueue);
   EXPECT_EQ(loi.csv, queued.csv);
   EXPECT_EQ(loi.json, queued.json);
   EXPECT_FALSE(loi.csv.empty());
 }
 
-TEST(Determinism, TransientLoiExplicitLoiModelIsDefault) {
+/// The spec's link model must reach every engine a scenario builds. A
+/// planner scenario moves pages, so its bulk traffic makes the queue model
+/// visible in the artifacts (run_under_wave's engines); ext-interleave has
+/// no bulk traffic and stays byte-identical (the compat guarantee); and
+/// ext-queue-contention pins kQueue in its own config, so the spec cannot
+/// change it.
+TEST(Determinism, SpecLinkModelReachesScenarioEngines) {
 #ifdef MEMDIS_UNDER_ASAN
-  GTEST_SKIP() << "double scenario run exceeds the sanitized scenario timeout";
+  GTEST_SKIP() << "double scenario runs exceed the sanitized scenario timeout";
 #endif
-  const Artifacts implicit = artifacts_of("ext-transient-loi", 1);
-  Artifacts pinned;
-  {
-    ScopedLinkModel loi_mode(memsim::LinkModelKind::kLoi);
-    pinned = artifacts_of("ext-transient-loi", 1);
-  }
-  EXPECT_EQ(implicit.csv, pinned.csv);
-  EXPECT_EQ(implicit.json, pinned.json);
+  constexpr auto kQueue = memsim::LinkModelKind::kQueue;
+  const Artifacts transient = artifacts_of("ext-transient-loi", 1);
+  const Artifacts transient_queued = artifacts_of("ext-transient-loi", 1, kQueue);
+  EXPECT_NE(transient.csv, transient_queued.csv);
+  EXPECT_NE(transient.json, transient_queued.json);
+
+  const Artifacts interleave = artifacts_of("ext-interleave", 1);
+  const Artifacts interleave_queued = artifacts_of("ext-interleave", 1, kQueue);
+  EXPECT_EQ(interleave.csv, interleave_queued.csv);
+  EXPECT_EQ(interleave.json, interleave_queued.json);
+
+  const Artifacts contention = artifacts_of("ext-queue-contention", 1);
+  const Artifacts contention_queued = artifacts_of("ext-queue-contention", 1, kQueue);
+  EXPECT_EQ(contention.csv, contention_queued.csv);
+  EXPECT_EQ(contention.json, contention_queued.json);
 }
 
 /// The new scenario itself must be reproducible — it layers the queue
@@ -307,9 +342,8 @@ TEST(Determinism, Fig06RepriceUnderQueueModelMatchesLoiModel) {
   const Artifacts loi = artifacts_of("fig06", 1);
   Artifacts repriced_queue;
   {
-    ScopedLinkModel queue_mode(memsim::LinkModelKind::kQueue);
     ScopedReprice reprice(true);
-    repriced_queue = artifacts_of("fig06", 1);
+    repriced_queue = artifacts_of("fig06", 1, memsim::LinkModelKind::kQueue);
   }
   EXPECT_EQ(loi.csv, repriced_queue.csv);
   EXPECT_EQ(loi.json, repriced_queue.json);

@@ -3,13 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 #include <optional>
-#include <tuple>
 #include <vector>
 
 #include "common/contract.h"
 #include "common/rng.h"
+#include "engine_run.h"
 #include "sim/array.h"
 #include "sim/engine.h"
 
@@ -389,11 +388,11 @@ TEST(Engine, FreeOutOfAllocationOrderMarksTheRightAllocations) {
 // Drives every bulk entry point through a fixed access script on two
 // engines — the batching kernel on vs. the element-wise reference emission
 // — and requires the full observable state (all hardware counters, the
-// cache levels' tags, LRU ticks and dirty bits, epoch count, simulated
-// time, page samples) to match bit-for-bit. It runs under three inputs: a
-// small epoch quantum that forces boundaries *inside* batched windows, a
-// one-access quantum that closes an epoch at every access, and a tiny L1
-// on which same-set strided lanes keep evicting each other.
+// cache levels' tags, LRU ticks and dirty bits, every epoch record,
+// simulated time, page samples) to match bit-for-bit. It runs under three
+// inputs: a small epoch quantum that forces boundaries *inside* batched
+// windows, a one-access quantum that closes an epoch at every access, and
+// a tiny L1 on which same-set strided lanes keep evicting each other.
 TEST(BulkApi, FastPathBitIdenticalToElementWise) {
   struct Input {
     std::uint64_t epoch_accesses;
@@ -447,28 +446,13 @@ TEST(BulkApi, FastPathBitIdenticalToElementWise) {
     };
     eng.stream_range(same_set, 3, kN * 8 / 1024 - 1);
     eng.load_range(a.addr_of(0), kN * 8 / 48 * 48, 48);  // straddling elems: fallback
-    const auto caches = eng.hierarchy().snapshot_caches();
-    eng.finish();
-    return std::tuple{eng.counters(), eng.epochs().size(), eng.elapsed_seconds(),
-                      eng.page_access_histogram(), caches};
-  };
-  const auto same_level = [](const cachesim::SetAssocCache::Snapshot& x,
-                             const cachesim::SetAssocCache::Snapshot& y) {
-    return x.tick == y.tick && x.tag == y.tag && x.lru == y.lru && x.flags == y.flags;
+    return test::finish_run(eng);
   };
   const Input inputs[] = {{1000, false, 6000}, {1, false, 600}, {1000, true, 6000}};
   for (const Input& in : inputs) {
     SCOPED_TRACE(testing::Message() << "epoch_accesses=" << in.epoch_accesses
                                     << " tiny_l1=" << in.tiny_l1);
-    const auto [cf, ef, tf, hf, sf] = run(in, true);
-    const auto [cs, es, ts, hs, ss] = run(in, false);
-    EXPECT_EQ(0, std::memcmp(&cf, &cs, sizeof(cf)));
-    EXPECT_EQ(ef, es);
-    EXPECT_EQ(tf, ts);
-    EXPECT_EQ(hf, hs);
-    EXPECT_TRUE(same_level(sf.l1, ss.l1));
-    EXPECT_TRUE(same_level(sf.l2, ss.l2));
-    EXPECT_TRUE(same_level(sf.l3, ss.l3));
+    test::expect_same_run(run(in, true), run(in, false));
   }
 }
 

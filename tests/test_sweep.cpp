@@ -201,7 +201,18 @@ TEST(SweepPoint, FunctionalGroupKeyGroupsOverTheLoiAxisOnly) {
                                    a.seed == b.seed;
       EXPECT_EQ(a.functional_group_key() == b.functional_group_key(), same_functional);
     }
+    // The link model is a timing knob like `loi`: outside the group key.
+    SweepPoint queued = a;
+    queued.link_model = memsim::LinkModelKind::kQueue;
+    EXPECT_EQ(queued.functional_group_key(), a.functional_group_key());
   }
+}
+
+// The spec's link model reaches every expanded point and its RunConfig.
+TEST(SweepSpec, LinkModelRidesFromSpecToRunConfig) {
+  auto spec = small_spec();
+  spec.link_model = memsim::LinkModelKind::kQueue;
+  for (const auto& p : spec.expand()) EXPECT_EQ(p.run_config().link_model, spec.link_model);
 }
 
 // Guards the defaulted SweepPoint::operator== behind rows_equal: every
@@ -218,7 +229,8 @@ TEST(SweepResult, RowsEqualDetectsEverySingleFieldMutation) {
                .fabric = "cxl",
                .prefetch = true,
                .variant = "opt",
-               .seed = 77};
+               .seed = 77,
+               .link_model = memsim::LinkModelKind::kLoi};
   row.metrics = {{"m", 1.5}};
   base.rows.push_back(row);
   EXPECT_TRUE(base.rows_equal(base));
@@ -237,6 +249,8 @@ TEST(SweepResult, RowsEqualDetectsEverySingleFieldMutation) {
   EXPECT_FALSE(base.rows_equal(mutated([](SweepRow& r) { r.point.prefetch = false; })));
   EXPECT_FALSE(base.rows_equal(mutated([](SweepRow& r) { r.point.variant = "base"; })));
   EXPECT_FALSE(base.rows_equal(mutated([](SweepRow& r) { r.point.seed = 78; })));
+  EXPECT_FALSE(base.rows_equal(
+      mutated([](SweepRow& r) { r.point.link_model = memsim::LinkModelKind::kQueue; })));
   EXPECT_FALSE(base.rows_equal(mutated([](SweepRow& r) { r.metrics[0].second = 1.25; })));
   EXPECT_FALSE(base.rows_equal(mutated([](SweepRow& r) { r.metrics[0].first = "x"; })));
   EXPECT_FALSE(base.rows_equal(mutated([](SweepRow& r) { r.metrics.clear(); })));

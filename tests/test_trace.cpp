@@ -19,6 +19,7 @@
 
 #include "common/contract.h"
 #include "core/sweep.h"
+#include "engine_run.h"
 #include "sim/engine.h"
 #include "trace/trace.h"
 #include "trace/trace_workload.h"
@@ -41,41 +42,12 @@ fs::path temp_file(const std::string& name) {
   return fs::path(::testing::TempDir()) / name;
 }
 
-/// Engine-state fingerprint for exact live-vs-replay comparison.
-struct EngineState {
-  cachesim::HwCounters counters;
-  double elapsed = 0.0;
-  std::uint64_t flops = 0;
-  std::size_t epochs = 0;
-  std::uint64_t digest = 0;
-};
-
-EngineState state_of(sim::Engine& eng) {
-  EngineState s;
-  s.counters = eng.counters();
-  s.elapsed = eng.elapsed_seconds();
-  s.flops = eng.total_flops();
-  s.epochs = eng.epochs().size();
-  s.digest = eng.hierarchy().digest();
-  return s;
-}
-
-void expect_states_equal(const EngineState& a, const EngineState& b) {
-  EXPECT_EQ(a.counters.loads, b.counters.loads);
-  EXPECT_EQ(a.counters.stores, b.counters.stores);
-  EXPECT_EQ(a.counters.l1_hits, b.counters.l1_hits);
-  EXPECT_EQ(a.counters.l2_hits, b.counters.l2_hits);
-  EXPECT_EQ(a.counters.l3_hits, b.counters.l3_hits);
-  EXPECT_EQ(a.elapsed, b.elapsed);
-  EXPECT_EQ(a.flops, b.flops);
-  EXPECT_EQ(a.epochs, b.epochs);
-  EXPECT_EQ(a.digest, b.digest);
-}
-
 /// Drives `calls` against a fresh engine; when `writer` is non-null it is
 /// attached as the trace sink for the duration (detached before finish()).
-EngineState drive(const std::function<void(sim::Engine&)>& calls,
-                  trace::TraceWriter* writer) {
+/// The call script stands for a workload that verified, as data_from()
+/// records it.
+test::EngineRun drive(const std::function<void(sim::Engine&)>& calls,
+                      trace::TraceWriter* writer) {
   sim::Engine eng;
   if (writer != nullptr) eng.set_trace_sink(writer);
   calls(eng);
@@ -83,8 +55,9 @@ EngineState drive(const std::function<void(sim::Engine&)>& calls,
     writer->finish();
     eng.set_trace_sink(nullptr);
   }
-  eng.finish();
-  return state_of(eng);
+  workloads::WorkloadResult verified;
+  verified.verified = true;
+  return test::finish_run(eng, verified);
 }
 
 trace::TraceData data_from(trace::TraceWriter& writer) {
@@ -100,12 +73,10 @@ trace::TraceData data_from(trace::TraceWriter& writer) {
   return data;
 }
 
-EngineState replay(const trace::TraceData& data) {
+test::EngineRun replay(const trace::TraceData& data) {
   sim::Engine eng;
   trace::TraceReplayWorkload wl(data);
-  wl.run(eng);
-  eng.finish();
-  return state_of(eng);
+  return test::finish_run(eng, wl.run(eng));
 }
 
 // ---- on-disk round-trip -----------------------------------------------------
@@ -334,10 +305,9 @@ TEST(TraceWriterRle, ReplayOfBoundaryHeavyStreamMatchesLive) {
   };
 
   trace::TraceWriter writer;
-  const EngineState live = drive(calls, &writer);
+  const test::EngineRun live = drive(calls, &writer);
   const trace::TraceData data = data_from(writer);
-  const EngineState replayed = replay(data);
-  expect_states_equal(live, replayed);
+  test::expect_same_run(live, replay(data));
 }
 
 /// Bulk calls pass through verbatim (no re-coalescing): replaying a mix of
@@ -362,10 +332,9 @@ TEST(TraceWriterRle, ReplayOfBulkCallsMatchesLive) {
   };
 
   trace::TraceWriter writer;
-  const EngineState live = drive(calls, &writer);
+  const test::EngineRun live = drive(calls, &writer);
   const trace::TraceData data = data_from(writer);
-  const EngineState replayed = replay(data);
-  expect_states_equal(live, replayed);
+  test::expect_same_run(live, replay(data));
 }
 
 TEST(TraceReplay, DivergingAllocationFailsLoudly) {
@@ -402,13 +371,10 @@ TEST(TraceReplay, RecordedAppReplaysBitIdentical) {
 
     trace::TraceRecordWorkload recorder(workloads::make_workload(workloads::App::kBFS, 1, 42),
                                         "BFS", 1, 42, path.string());
-    EngineState live;
-    workloads::WorkloadResult live_result;
+    test::EngineRun live;
     {
       sim::Engine eng(cfg);
-      live_result = recorder.run(eng);
-      eng.finish();
-      live = state_of(eng);
+      live = test::finish_run(eng, recorder.run(eng));
     }
 
     std::string error;
@@ -422,41 +388,42 @@ TEST(TraceReplay, RecordedAppReplaysBitIdentical) {
 
     trace::TraceReplayWorkload replayer(std::move(*data));
     EXPECT_TRUE(replayer.functional_id().empty());
-    EngineState replayed;
-    workloads::WorkloadResult replay_result;
-    {
-      sim::Engine eng(cfg);
-      replay_result = replayer.run(eng);
-      eng.finish();
-      replayed = state_of(eng);
-    }
-    expect_states_equal(live, replayed);
-    EXPECT_TRUE(live_result.verified);
-    EXPECT_EQ(live_result.verified, replay_result.verified);
-    EXPECT_EQ(live_result.residual, replay_result.residual);
-    EXPECT_EQ(live_result.detail, replay_result.detail);
+    sim::Engine eng(cfg);
+    test::expect_same_run(live, test::finish_run(eng, replayer.run(eng)));
+    EXPECT_TRUE(live.result.verified);
     fs::remove(path);
   }
 }
 
 // ---- removed modes ------------------------------------------------------------
 
-/// Fast-forward and the sweep replay cache are gone; their setters and the
-/// EngineConfig field survive only as off-only stubs. Off is accepted and
-/// reads back off; anything else is a contract violation.
+/// Fast-forward, the sweep replay cache and the process-wide bulk-path and
+/// link-model defaults are gone; their setters and the fast_forward field
+/// survive only as stubs. The one remaining value is accepted and reads
+/// back; anything else is a contract violation.
 TEST(RemovedModes, StubsAcceptOnlyOff) {
   EXPECT_THROW(sim::set_fast_forward_default(true), contract_violation);
   sim::EngineConfig cfg;
   cfg.fast_forward = true;
   EXPECT_THROW(sim::Engine{cfg}, contract_violation);
   EXPECT_THROW(core::set_replay_cache_dir("x"), contract_violation);
+  EXPECT_THROW(sim::set_bulk_fast_path_default(false), contract_violation);
+  EXPECT_THROW(sim::set_link_model_default(memsim::LinkModelKind::kQueue), contract_violation);
 
   sim::set_fast_forward_default(false);
   core::set_replay_cache_dir("");
+  sim::set_bulk_fast_path_default(true);
+  sim::set_link_model_default(memsim::LinkModelKind::kLoi);
   EXPECT_FALSE(sim::fast_forward_default());
   EXPECT_TRUE(core::replay_cache_dir().empty());
+  EXPECT_TRUE(sim::bulk_fast_path_default());
+  EXPECT_EQ(sim::link_model_default(), memsim::LinkModelKind::kLoi);
+  EXPECT_EQ(core::SweepSpec{}.link_model, memsim::LinkModelKind::kLoi);
   const sim::EngineConfig defaults;
   EXPECT_FALSE(defaults.fast_forward);
+  EXPECT_TRUE(defaults.bulk_fast_path);
+  EXPECT_EQ(defaults.link_model, memsim::LinkModelKind::kLoi);
+  EXPECT_EQ(core::RunConfig{}.link_model, memsim::LinkModelKind::kLoi);
   sim::Engine eng(defaults);
   eng.finish();
 }

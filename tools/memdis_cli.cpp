@@ -69,7 +69,7 @@ struct Args {
   std::vector<std::string> loi_waves;         ///< --loi-wave specs (repeatable)
   std::optional<std::string> loi_trace_path;  ///< --loi-trace CSV file
   bool staging = true;               ///< --staging: plan may use intermediate tiers
-  memsim::LinkModelKind link_model = sim::link_model_default();  ///< --link-model
+  memsim::LinkModelKind link_model = memsim::LinkModelKind::kLoi;  ///< --link-model
   std::uint32_t nflop = 1;
   int threads = 12;
   std::size_t elements = 1 << 20;
@@ -452,6 +452,7 @@ int cmd_level1(const Args& args, workloads::App app) {
   const auto schedule = schedule_of(args, rc.machine);
   if (!schedule) return 2;
   rc.loi_schedule = *schedule;
+  rc.link_model = args.link_model;
   core::MultiLevelProfiler profiler(rc);
   auto wl = workloads::make_workload(app, args.scale);
   const auto l1 = profiler.level1(*wl);
@@ -493,6 +494,7 @@ int cmd_level2(const Args& args, workloads::App app) {
   const auto schedule = schedule_of(args, rc.machine);
   if (!schedule) return 2;
   rc.loi_schedule = *schedule;
+  rc.link_model = args.link_model;
   core::MultiLevelProfiler profiler(rc);
   auto wl = workloads::make_workload(app, args.scale);
   const auto l2 = profiler.level2(*wl, args.ratio);
@@ -512,6 +514,7 @@ int cmd_level2(const Args& args, workloads::App app) {
 int cmd_level3(const Args& args, workloads::App app) {
   core::RunConfig rc;
   rc.machine = machine_of(args.fabric);
+  rc.link_model = args.link_model;
   core::MultiLevelProfiler profiler(rc);
   auto wl = workloads::make_workload(app, args.scale);
   const auto l3 = profiler.level3(*wl, args.ratio, args.lois);
@@ -572,9 +575,12 @@ int cmd_sweep(const Args& args) {
   }
   std::cout << scenario->artifact << " — " << scenario->caption << "\n"
             << scenario->spec.size() << " configurations, jobs=" << args.jobs << "\n";
+  // Scenarios that pin a link model in their own configs still win.
+  core::Scenario configured = *scenario;
+  configured.spec.link_model = args.link_model;
   core::SweepOptions options;
   options.jobs = args.jobs;
-  const auto result = core::run_scenario(*scenario, options);
+  const auto result = core::run_scenario(configured, options);
   std::cout << "sweep finished in " << Table::num(result.wall_seconds, 2) << " s ("
             << result.rows.size() << " rows)\n\n";
   if (scenario->summarize) scenario->summarize(result, std::cout);
@@ -691,6 +697,7 @@ int cmd_plan(const Args& args, workloads::App app) {
   const auto schedule = schedule_of(args, cfg.machine);
   if (!schedule) return 2;
   cfg.loi_schedule = *schedule;
+  cfg.link_model = args.link_model;
   cfg.epoch_accesses = 250'000;  // frequent scan opportunities
   sim::Engine eng(cfg);
 
@@ -790,6 +797,7 @@ int cmd_trace(const Args& args) {
         args.scale, args.seed, *args.trace_path);
     sim::EngineConfig cfg;
     cfg.machine = machine_of(args.fabric);
+    cfg.link_model = args.link_model;
     sim::Engine eng(cfg);
     const auto result = recorder.run(eng);
     eng.finish();
@@ -851,6 +859,7 @@ int cmd_trace(const Args& args) {
   trace::TraceReplayWorkload replayer(std::move(*data));
   sim::EngineConfig cfg;
   cfg.machine = machine_of(args.fabric);
+  cfg.link_model = args.link_model;
   sim::Engine eng(cfg);
   const auto result = replayer.run(eng);
   eng.finish();
@@ -867,6 +876,7 @@ int cmd_report(const Args& args) {
   Table t({"app", "verified", "sim time (ms)", "AI", "DRAM GB/s", "skew"});
   core::RunConfig rc;
   rc.machine = machine_of(args.fabric);
+  rc.link_model = args.link_model;
   core::MultiLevelProfiler profiler(rc);
   bool all_ok = true;
   for (const auto app : workloads::kAllApps) {
@@ -889,10 +899,6 @@ int main(int argc, char** argv) {
     usage(std::cerr);
     return 2;
   }
-  // Every config object defaults its link model from the process-wide
-  // default, so setting it once here covers profiler runs, sweeps, and the
-  // planner alike (scenarios that pin a model explicitly still win).
-  sim::set_link_model_default(args->link_model);
   if (args->reprice) core::set_reprice_enabled(*args->reprice);
   try {
     if (args->command == "trace") return cmd_trace(*args);
