@@ -25,23 +25,27 @@ void CsvWriter::add_row(const std::vector<std::string>& row) {
   ++rows_;
 }
 
-void CsvWriter::write_row(const std::vector<std::string>& row) {
-  for (std::size_t i = 0; i < row.size(); ++i) {
-    *out_ << escape(row[i]);
-    if (i + 1 < row.size()) *out_ << ',';
+void append_csv_field(std::string& out, std::string_view field) {
+  if (field.find_first_of(",\"\n\r") == std::string_view::npos) {
+    out += field;
+    return;
   }
-  *out_ << '\n';
+  out += '"';
+  for (const char ch : field) {
+    if (ch == '"') out += '"';
+    out += ch;
+  }
+  out += '"';
 }
 
-std::string CsvWriter::escape(const std::string& field) {
-  if (field.find_first_of(",\"\n") == std::string::npos) return field;
-  std::string quoted = "\"";
-  for (char ch : field) {
-    if (ch == '"') quoted += '"';
-    quoted += ch;
+void CsvWriter::write_row(const std::vector<std::string>& row) {
+  std::string line;
+  for (std::size_t i = 0; i < row.size(); ++i) {
+    if (i > 0) line += ',';
+    append_csv_field(line, row[i]);
   }
-  quoted += '"';
-  return quoted;
+  line += '\n';
+  out_->write(line.data(), static_cast<std::streamsize>(line.size()));
 }
 
 }  // namespace memdis

@@ -1,13 +1,19 @@
 // Minimal CSV writer so bench binaries can optionally dump machine-readable
-// series (one file per figure) next to the human-readable tables.
+// series (one file per figure) next to the human-readable tables, and the
+// RFC 4180 field escaping it shares with the buffered artifact writers.
 #pragma once
 
 #include <fstream>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace memdis {
+
+/// Appends one CSV field to `out`, quoted per RFC 4180 when it contains a
+/// comma, a double quote, LF or CR (embedded quotes are doubled).
+void append_csv_field(std::string& out, std::string_view field);
 
 /// Streams rows to a CSV file or stream; values are escaped per RFC 4180
 /// when needed.
@@ -31,7 +37,6 @@ class CsvWriter {
 
  private:
   void write_row(const std::vector<std::string>& row);
-  static std::string escape(const std::string& field);
 
   std::ofstream file_;       ///< backing file when constructed from a path
   std::ostream* out_;        ///< the active sink (file_ or a borrowed stream)

@@ -51,11 +51,11 @@ std::string functional_key(const std::string& workload_id,
                            const cachesim::HierarchyConfig& h, bool prefetch_enabled) {
   std::string key = workload_id;
   key += "|machine:";
-  key += format_double(m.peak_gflops);
+  append_double(key, m.peak_gflops);
   key += ',';
   key += std::to_string(m.threads);
   key += ',';
-  key += format_double(m.mlp);
+  append_double(key, m.mlp);
   key += ',';
   key += std::to_string(m.page_bytes);
   key += ',';
@@ -71,25 +71,25 @@ std::string functional_key(const std::string& workload_id,
     key += ',';
     key += std::to_string(spec.capacity_bytes);
     key += ',';
-    key += format_double(spec.bandwidth_gbps);
+    append_double(key, spec.bandwidth_gbps);
     key += ',';
-    key += format_double(spec.latency_ns);
+    append_double(key, spec.latency_ns);
     key += ',';
     key += std::to_string(spec.upstream);
     if (spec.link) {
       const auto& l = *spec.link;
       key += ",link:";
-      key += format_double(l.traffic_capacity_gbps);
+      append_double(key, l.traffic_capacity_gbps);
       key += ',';
-      key += format_double(l.protocol_overhead);
+      append_double(key, l.protocol_overhead);
       key += ',';
-      key += format_double(l.interference_share);
+      append_double(key, l.interference_share);
       key += ',';
-      key += format_double(l.queue_weight);
+      append_double(key, l.queue_weight);
       key += ',';
-      key += format_double(l.overload_slope);
+      append_double(key, l.overload_slope);
       key += ',';
-      key += format_double(l.max_latency_multiplier);
+      append_double(key, l.max_latency_multiplier);
       key += ',';
       key += std::to_string(l.queue_window_epochs);
     }
@@ -119,9 +119,9 @@ std::string functional_key(const std::string& workload_id,
   key += ',';
   key += std::to_string(p.line_bytes);
   key += ',';
-  key += format_double(p.throttle_low);
+  append_double(key, p.throttle_low);
   key += ',';
-  key += format_double(p.throttle_high);
+  append_double(key, p.throttle_high);
   key += "|pebs:";
   key += std::to_string(h.pebs_period);
   key += prefetch_enabled ? "|prefetch:on" : "|prefetch:off";

@@ -83,7 +83,7 @@ void clear_reprice_cache();
 /// Serializes the functional half of a run into the cache key: the
 /// workload's functional id plus every stream-shaping field of the shaped
 /// machine, the cache hierarchy, and the prefetcher switch. Doubles are
-/// rendered with format_double (exact round-trip), so distinct configs
+/// rendered with append_double (exact round-trip), so distinct configs
 /// cannot collide.
 [[nodiscard]] std::string functional_key(const std::string& workload_id,
                                          const memsim::MachineConfig& shaped_machine,

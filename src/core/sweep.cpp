@@ -8,6 +8,8 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "common/artifact_format.h"
@@ -18,7 +20,7 @@
 #include "core/epoch_profile.h"
 
 namespace memdis::core {
-// format_double / json_escape come from common/artifact_format.h: the
+// append_double / append_json_escaped come from common/artifact_format.h: the
 // byte-identity contract on artifacts is shared with the fleet writers,
 // so the formatting that implements it lives in one place.
 
@@ -69,7 +71,7 @@ std::string SweepPoint::functional_group_key() const {
   key += '/';
   key += std::to_string(scale);
   key += '/';
-  key += format_double(ratio);
+  append_double(key, ratio);
   key += '/';
   key += fabric;
   key += prefetch ? "/pf1/" : "/pf0/";
@@ -130,30 +132,53 @@ std::vector<std::string> SweepResult::metric_names() const {
 }
 
 void SweepResult::write_csv(std::ostream& os) const {
-  std::vector<std::string> header = {"index", "app",    "scale",    "ratio",
-                                     "loi",   "fabric", "prefetch", "variant",
-                                     "seed"};
   const auto metrics = metric_names();
-  header.insert(header.end(), metrics.begin(), metrics.end());
-  CsvWriter csv(os, header);
-  for (const auto& row : rows) {
-    std::vector<std::string> cells = {
-        std::to_string(row.point.index),
-        workloads::app_name(row.point.app),
-        std::to_string(row.point.scale),
-        row.point.ratio == kNodeOnly ? "local" : format_double(row.point.ratio),
-        format_double(row.point.loi),
-        row.point.fabric,
-        row.point.prefetch ? "on" : "off",
-        row.point.variant,
-        std::to_string(row.point.seed)};
-    for (const auto& name : metrics) {
-      const auto it = std::find_if(row.metrics.begin(), row.metrics.end(),
-                                   [&](const Metric& m) { return m.first == name; });
-      cells.push_back(it == row.metrics.end() ? "" : format_double(it->second));
-    }
-    csv.add_row(cells);
+  std::unordered_map<std::string_view, std::size_t> column;
+  for (std::size_t c = 0; c < metrics.size(); ++c) column.emplace(metrics[c], c);
+  std::string buf;
+  buf.reserve(kArtifactChunkBytes + 1024);
+  buf += "index,app,scale,ratio,loi,fabric,prefetch,variant,seed";
+  for (const auto& name : metrics) {
+    buf += ',';
+    append_csv_field(buf, name);
   }
+  buf += '\n';
+  // Each row's metrics are placed by column once; a name repeated within a
+  // row keeps its first value.
+  std::vector<const double*> cells(metrics.size());
+  for (const auto& row : rows) {
+    std::fill(cells.begin(), cells.end(), nullptr);
+    for (const auto& [name, value] : row.metrics) {
+      const double*& cell = cells[column.find(name)->second];
+      if (cell == nullptr) cell = &value;
+    }
+    append_int(buf, row.point.index);
+    buf += ',';
+    append_csv_field(buf, workloads::app_name(row.point.app));
+    buf += ',';
+    append_int(buf, row.point.scale);
+    buf += ',';
+    if (row.point.ratio == kNodeOnly) {
+      buf += "local";
+    } else {
+      append_double(buf, row.point.ratio);
+    }
+    buf += ',';
+    append_double(buf, row.point.loi);
+    buf += ',';
+    append_csv_field(buf, row.point.fabric);
+    buf += row.point.prefetch ? ",on," : ",off,";
+    append_csv_field(buf, row.point.variant);
+    buf += ',';
+    append_int(buf, row.point.seed);
+    for (const double* cell : cells) {
+      buf += ',';
+      if (cell != nullptr) append_double(buf, *cell);
+    }
+    buf += '\n';
+    flush_artifact_chunk(os, buf);
+  }
+  flush_artifact_chunk(os, buf, 0);
 }
 
 void SweepResult::write_csv_file(const std::string& path) const {
@@ -161,25 +186,46 @@ void SweepResult::write_csv_file(const std::string& path) const {
 }
 
 void SweepResult::write_json(std::ostream& os) const {
-  os << "{\n  \"scenario\": \"" << json_escape(scenario) << "\",\n  \"rows\": [\n";
+  std::string buf;
+  buf.reserve(kArtifactChunkBytes + 1024);
+  buf += "{\n  \"scenario\": \"";
+  append_json_escaped(buf, scenario);
+  buf += "\",\n  \"rows\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const auto& row = rows[i];
-    os << "    {\"index\": " << row.point.index << ", \"app\": \""
-       << workloads::app_name(row.point.app) << "\", \"scale\": " << row.point.scale
-       << ", \"ratio\": "
-       << (row.point.ratio == kNodeOnly ? std::string("null") : format_double(row.point.ratio))
-       << ", \"loi\": " << format_double(row.point.loi) << ", \"fabric\": \""
-       << json_escape(row.point.fabric) << "\", \"prefetch\": "
-       << (row.point.prefetch ? "true" : "false") << ", \"variant\": \""
-       << json_escape(row.point.variant) << "\", \"seed\": " << row.point.seed
-       << ", \"metrics\": {";
-    for (std::size_t m = 0; m < row.metrics.size(); ++m) {
-      os << (m ? ", " : "") << "\"" << json_escape(row.metrics[m].first)
-         << "\": " << format_double(row.metrics[m].second);
+    buf += "    {\"index\": ";
+    append_int(buf, row.point.index);
+    buf += ", \"app\": \"";
+    buf += workloads::app_name(row.point.app);
+    buf += "\", \"scale\": ";
+    append_int(buf, row.point.scale);
+    buf += ", \"ratio\": ";
+    if (row.point.ratio == kNodeOnly) {
+      buf += "null";
+    } else {
+      append_double(buf, row.point.ratio);
     }
-    os << "}}" << (i + 1 < rows.size() ? "," : "") << "\n";
+    buf += ", \"loi\": ";
+    append_double(buf, row.point.loi);
+    buf += ", \"fabric\": \"";
+    append_json_escaped(buf, row.point.fabric);
+    buf += row.point.prefetch ? "\", \"prefetch\": true" : "\", \"prefetch\": false";
+    buf += ", \"variant\": \"";
+    append_json_escaped(buf, row.point.variant);
+    buf += "\", \"seed\": ";
+    append_int(buf, row.point.seed);
+    buf += ", \"metrics\": {";
+    for (std::size_t m = 0; m < row.metrics.size(); ++m) {
+      buf += m ? ", \"" : "\"";
+      append_json_escaped(buf, row.metrics[m].first);
+      buf += "\": ";
+      append_double(buf, row.metrics[m].second);
+    }
+    buf += i + 1 < rows.size() ? "}},\n" : "}}\n";
+    flush_artifact_chunk(os, buf);
   }
-  os << "  ]\n}\n";
+  buf += "  ]\n}\n";
+  flush_artifact_chunk(os, buf, 0);
 }
 
 void SweepResult::write_json_file(const std::string& path) const {

@@ -427,21 +427,42 @@ FleetResult run_fleet(const FleetConfig& cfg, const std::vector<JobClass>& class
 }
 
 void FleetResult::write_csv(std::ostream& os) const {
-  CsvWriter csv(os, {"index", "class", "seed", "arrival_s", "start_s", "finish_s", "pool",
-                     "migrations", "work_s", "wait_s", "slowdown", "status"});
+  std::string buf;
+  buf.reserve(kArtifactChunkBytes + 1024);
+  buf += "index,class,seed,arrival_s,start_s,finish_s,pool,migrations,work_s,wait_s,slowdown,"
+         "status\n";
   for (const auto& rec : jobs) {
+    append_int(buf, rec.index);
+    buf += ',';
+    append_csv_field(buf, rec.job_class);
+    buf += ',';
+    append_int(buf, rec.seed);
+    buf += ',';
+    append_double(buf, rec.arrival_s);
     if (rec.rejected) {
-      csv.add_row({std::to_string(rec.index), rec.job_class, std::to_string(rec.seed),
-                   format_double(rec.arrival_s), "", "", "", "0",
-                   format_double(rec.work_s), "", "", "rejected"});
+      buf += ",,,,0,";
+      append_double(buf, rec.work_s);
+      buf += ",,,rejected\n";
     } else {
-      csv.add_row({std::to_string(rec.index), rec.job_class, std::to_string(rec.seed),
-                   format_double(rec.arrival_s), format_double(rec.start_s),
-                   format_double(rec.finish_s), std::to_string(rec.pool),
-                   std::to_string(rec.migrations), format_double(rec.work_s),
-                   format_double(rec.wait_s()), format_double(rec.slowdown()), "done"});
+      buf += ',';
+      append_double(buf, rec.start_s);
+      buf += ',';
+      append_double(buf, rec.finish_s);
+      buf += ',';
+      append_int(buf, rec.pool);
+      buf += ',';
+      append_int(buf, rec.migrations);
+      buf += ',';
+      append_double(buf, rec.work_s);
+      buf += ',';
+      append_double(buf, rec.wait_s());
+      buf += ',';
+      append_double(buf, rec.slowdown());
+      buf += ",done\n";
     }
+    flush_artifact_chunk(os, buf);
   }
+  flush_artifact_chunk(os, buf, 0);
 }
 
 void FleetResult::write_csv_file(const std::string& path) const {
@@ -449,40 +470,65 @@ void FleetResult::write_csv_file(const std::string& path) const {
 }
 
 void FleetResult::write_json(std::ostream& os) const {
-  os << "{\n  \"fleet\": {"
-     << "\"jobs\": " << jobs.size() << ", \"completed\": " << completed
-     << ", \"rejected\": " << rejected << ", \"migrations\": " << migrations
-     << ", \"makespan_s\": " << format_double(makespan_s)
-     << ", \"p50_slowdown\": " << format_double(p50_slowdown)
-     << ", \"p99_slowdown\": " << format_double(p99_slowdown)
-     << ", \"p50_wait_s\": " << format_double(p50_wait_s)
-     << ", \"p99_wait_s\": " << format_double(p99_wait_s)
-     << ", \"mean_utilization\": " << format_double(mean_utilization)
-     << ", \"stranded_gb\": " << format_double(stranded_gb) << "},\n  \"pools\": [\n";
+  std::string buf;
+  buf.reserve(kArtifactChunkBytes + 1024);
+  const auto field = [&buf](const char* name, double v) {
+    buf += name;
+    append_double(buf, v);
+  };
+  buf += "{\n  \"fleet\": {\"jobs\": ";
+  append_int(buf, jobs.size());
+  buf += ", \"completed\": ";
+  append_int(buf, completed);
+  buf += ", \"rejected\": ";
+  append_int(buf, rejected);
+  buf += ", \"migrations\": ";
+  append_int(buf, migrations);
+  field(", \"makespan_s\": ", makespan_s);
+  field(", \"p50_slowdown\": ", p50_slowdown);
+  field(", \"p99_slowdown\": ", p99_slowdown);
+  field(", \"p50_wait_s\": ", p50_wait_s);
+  field(", \"p99_wait_s\": ", p99_wait_s);
+  field(", \"mean_utilization\": ", mean_utilization);
+  field(", \"stranded_gb\": ", stranded_gb);
+  buf += "},\n  \"pools\": [\n";
   for (std::size_t p = 0; p < pools.size(); ++p) {
     const auto& stats = pools[p];
-    os << "    {\"pool\": " << p << ", \"utilization\": " << format_double(stats.utilization)
-       << ", \"peak_used_gb\": " << format_double(stats.peak_used_gb)
-       << ", \"mean_demand_loi\": " << format_double(stats.mean_demand_loi)
-       << ", \"stranded_gb\": " << format_double(stats.stranded_gb) << "}"
-       << (p + 1 < pools.size() ? "," : "") << "\n";
+    buf += "    {\"pool\": ";
+    append_int(buf, p);
+    field(", \"utilization\": ", stats.utilization);
+    field(", \"peak_used_gb\": ", stats.peak_used_gb);
+    field(", \"mean_demand_loi\": ", stats.mean_demand_loi);
+    field(", \"stranded_gb\": ", stats.stranded_gb);
+    buf += p + 1 < pools.size() ? "},\n" : "}\n";
   }
-  os << "  ],\n  \"jobs_detail\": [\n";
+  buf += "  ],\n  \"jobs_detail\": [\n";
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const auto& rec = jobs[i];
-    os << "    {\"index\": " << rec.index << ", \"class\": \"" << json_escape(rec.job_class)
-       << "\", \"seed\": " << rec.seed << ", \"arrival_s\": " << format_double(rec.arrival_s);
+    buf += "    {\"index\": ";
+    append_int(buf, rec.index);
+    buf += ", \"class\": \"";
+    append_json_escaped(buf, rec.job_class);
+    buf += "\", \"seed\": ";
+    append_int(buf, rec.seed);
+    field(", \"arrival_s\": ", rec.arrival_s);
     if (rec.rejected) {
-      os << ", \"status\": \"rejected\"";
+      buf += ", \"status\": \"rejected\"";
     } else {
-      os << ", \"start_s\": " << format_double(rec.start_s)
-         << ", \"finish_s\": " << format_double(rec.finish_s) << ", \"pool\": " << rec.pool
-         << ", \"migrations\": " << rec.migrations
-         << ", \"slowdown\": " << format_double(rec.slowdown()) << ", \"status\": \"done\"";
+      field(", \"start_s\": ", rec.start_s);
+      field(", \"finish_s\": ", rec.finish_s);
+      buf += ", \"pool\": ";
+      append_int(buf, rec.pool);
+      buf += ", \"migrations\": ";
+      append_int(buf, rec.migrations);
+      field(", \"slowdown\": ", rec.slowdown());
+      buf += ", \"status\": \"done\"";
     }
-    os << "}" << (i + 1 < jobs.size() ? "," : "") << "\n";
+    buf += i + 1 < jobs.size() ? "},\n" : "}\n";
+    flush_artifact_chunk(os, buf);
   }
-  os << "  ]\n}\n";
+  buf += "  ]\n}\n";
+  flush_artifact_chunk(os, buf, 0);
 }
 
 void FleetResult::write_json_file(const std::string& path) const {
