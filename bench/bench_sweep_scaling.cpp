@@ -4,12 +4,13 @@
 // to the serial rows.
 //
 // A second grid measures the epoch-profile repricer (docs/REPRICE.md): a
-// Hypre sweep over a 6-point LoI axis runs fully simulated and then with
-// `--reprice`-style memoization (one capture per functional key, O(epochs)
-// repricing for the rest), reporting the wall-clock ratio and re-checking
-// byte-identity of the rows.
+// Hypre sweep over a 6-point LoI axis runs fully simulated by a serial
+// loop outside any profile scope, then through run_sweep (one capture per
+// functional key, O(epochs) repricing for the rest), reporting the
+// wall-clock ratio and re-checking byte-identity of the rows.
 //
 // Usage: bench_sweep_scaling [--json PATH]
+#include <chrono>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -19,7 +20,6 @@
 
 #include "bench_util.h"
 #include "common/table.h"
-#include "core/epoch_profile.h"
 #include "core/scenario_registry.h"
 #include "core/sweep.h"
 
@@ -45,10 +45,10 @@ int main(int argc, char** argv) {
                                                    : 0.0;
 
   // Reprice path: a grid whose only swept axis is timing (6 LoI levels on
-  // one Hypre configuration) — the regime the repricer targets. Full
-  // simulation prices every point from scratch; with repricing on, the
-  // grid's single functional group simulates once and the other points
-  // fold the cost model over its epoch profile.
+  // one Hypre configuration) — the regime the repricer targets. The live
+  // reference loop prices every point from scratch; run_sweep simulates
+  // the grid's single functional group once and folds the cost model over
+  // its epoch profile for the other points.
   core::SweepSpec loi_grid;
   loi_grid.apps = {workloads::App::kHypre};
   loi_grid.ratios = {0.5};
@@ -64,15 +64,13 @@ int main(int argc, char** argv) {
   std::unordered_set<std::string> groups;
   for (const auto& point : loi_grid.expand()) groups.insert(point.functional_group_key());
 
-  const bool reprice_was_on = core::reprice_enabled();
-  core::set_reprice_enabled(false);
-  const auto loi_full = core::run_sweep(loi_grid, loi_measure, {.jobs = 1});
-  core::clear_reprice_cache();
-  core::set_reprice_enabled(true);
+  core::SweepResult loi_full;
+  const auto full_t0 = std::chrono::steady_clock::now();
+  for (const auto& point : loi_grid.expand()) loi_full.rows.push_back({point, loi_measure(point)});
+  loi_full.wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - full_t0).count();
   const auto loi_repriced = core::run_sweep(loi_grid, loi_measure, {.jobs = 1});
-  const auto reprice_stats = core::reprice_stats();
-  core::set_reprice_enabled(reprice_was_on);
-  core::clear_reprice_cache();
+  const auto& repricing = loi_repriced.repricing;
 
   const bool reprice_identical = loi_full.rows_equal(loi_repriced);
   const double reprice_speedup =
@@ -98,8 +96,8 @@ int main(int argc, char** argv) {
   std::cout << "\n";
   rt.print(std::cout);
   std::cout << "\nreprice: " << Table::num(reprice_speedup, 2) << "x over full simulation ("
-            << reprice_stats.captures << " capture" << (reprice_stats.captures == 1 ? "" : "s")
-            << " + " << reprice_stats.reprices << " re-priced); rows bit-identical: "
+            << repricing.captures << " capture" << (repricing.captures == 1 ? "" : "s")
+            << " + " << repricing.reprices << " re-priced); rows bit-identical: "
             << (reprice_identical ? "yes" : "NO") << "\n";
   if (hw > 1) {
     std::cout << "\nspeedup: " << Table::num(speedup, 2) << "x on " << hw
@@ -136,7 +134,7 @@ int main(int argc, char** argv) {
        << "  \"wall_s_reprice_off\": " << loi_full.wall_seconds << ",\n"
        << "  \"wall_s_repriced\": " << loi_repriced.wall_seconds << ",\n"
        << "  \"reprice_speedup\": " << reprice_speedup << ",\n"
-       << "  \"reprice_captures\": " << reprice_stats.captures << ",\n"
+       << "  \"reprice_captures\": " << repricing.captures << ",\n"
        << "  \"reprice_rows_identical\": " << (reprice_identical ? "true" : "false") << ",\n"
        << "  \"rows_identical\": " << (identical ? "true" : "false") << "\n"
        << "}\n";

@@ -1,8 +1,5 @@
 #include "core/epoch_profile.h"
 
-#include <atomic>
-#include <mutex>
-#include <unordered_map>
 #include <utility>
 
 #include "common/artifact_format.h"
@@ -12,39 +9,51 @@ namespace memdis::core {
 
 namespace {
 
-std::atomic<bool> g_reprice_enabled{false};
-std::atomic<std::uint64_t> g_captures{0};
-std::atomic<std::uint64_t> g_reprices{0};
-
-std::mutex g_cache_mutex;
-std::unordered_map<std::string, std::shared_ptr<const EpochProfile>>& cache() {
-  static std::unordered_map<std::string, std::shared_ptr<const EpochProfile>> c;
-  return c;
-}
+thread_local ProfileCache* t_bound_cache = nullptr;
 
 }  // namespace
 
-bool reprice_enabled() { return g_reprice_enabled.load(std::memory_order_relaxed); }
+std::shared_ptr<const EpochProfile> ProfileCache::find(const std::string& key) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = profiles_.find(key);
+  if (it == profiles_.end()) return nullptr;
+  ++stats_.reprices;
+  return it->second;
+}
+
+void ProfileCache::store(const std::string& key, EpochProfile profile) {
+  auto holder = std::make_shared<const EpochProfile>(std::move(profile));
+  const std::lock_guard<std::mutex> lock(mutex_);
+  // Keep the first capture on a race: both racers ran the same full
+  // simulation, so the profiles are interchangeable.
+  profiles_.emplace(key, std::move(holder));
+  ++stats_.captures;
+}
+
+RepriceStats ProfileCache::stats() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return stats_;
+}
+
+ProfileScope::ProfileScope(ProfileCache& cache) : previous_(t_bound_cache) {
+  t_bound_cache = &cache;
+}
+
+ProfileScope::~ProfileScope() { t_bound_cache = previous_; }
+
+ProfileCache* ProfileScope::current() { return t_bound_cache; }
+
+bool reprice_enabled() { return false; }
+
 void set_reprice_enabled(bool on) {
-  g_reprice_enabled.store(on, std::memory_order_relaxed);
+  expects(!on, "the process-wide repricing switch has been removed; only false is accepted");
 }
 
-RepriceStats reprice_stats() {
-  return {g_captures.load(std::memory_order_relaxed),
-          g_reprices.load(std::memory_order_relaxed)};
-}
+RepriceStats reprice_stats() { return {}; }
 
-void clear_reprice_cache() {
-  const std::lock_guard<std::mutex> lock(g_cache_mutex);
-  cache().clear();
-  g_captures.store(0, std::memory_order_relaxed);
-  g_reprices.store(0, std::memory_order_relaxed);
-}
+void clear_reprice_cache() {}
 
-std::size_t reprice_cache_size() {
-  const std::lock_guard<std::mutex> lock(g_cache_mutex);
-  return cache().size();
-}
+std::size_t reprice_cache_size() { return 0; }
 
 std::string functional_key(const std::string& workload_id,
                            const memsim::MachineConfig& m,
@@ -126,21 +135,6 @@ std::string functional_key(const std::string& workload_id,
   key += std::to_string(h.pebs_period);
   key += prefetch_enabled ? "|prefetch:on" : "|prefetch:off";
   return key;
-}
-
-std::shared_ptr<const EpochProfile> find_epoch_profile(const std::string& key) {
-  const std::lock_guard<std::mutex> lock(g_cache_mutex);
-  const auto it = cache().find(key);
-  return it == cache().end() ? nullptr : it->second;
-}
-
-void store_epoch_profile(const std::string& key, EpochProfile profile) {
-  auto holder = std::make_shared<const EpochProfile>(std::move(profile));
-  const std::lock_guard<std::mutex> lock(g_cache_mutex);
-  // Keep the first capture on a race: both racers ran the same full
-  // simulation, so the profiles are interchangeable.
-  cache().emplace(key, std::move(holder));
-  g_captures.fetch_add(1, std::memory_order_relaxed);
 }
 
 RunOutput reprice(const EpochProfile& profile, const TimingConfig& timing) {
@@ -237,7 +231,6 @@ RunOutput reprice(const EpochProfile& profile, const TimingConfig& timing) {
             "phase epoch span out of range for the captured profile");
     phase.time_s = elapsed_after[phase.epoch_end] - elapsed_after[phase.epoch_begin];
   }
-  g_reprices.fetch_add(1, std::memory_order_relaxed);
   return out;
 }
 

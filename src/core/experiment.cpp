@@ -53,8 +53,8 @@ memsim::MachineConfig machine_with_spill(const memsim::MachineConfig& machine, d
 namespace {
 
 /// Full simulation of one configured engine: the reference path every run
-/// takes when repricing is off or the run is ineligible, and the capture
-/// path that records an EpochProfile when it is on.
+/// takes outside a ProfileScope or when it is ineligible, and the capture
+/// path that records an EpochProfile inside one.
 RunOutput run_live(workloads::Workload& workload, const sim::EngineConfig& ecfg,
                    bool prefetch_enabled) {
   sim::Engine eng(ecfg);
@@ -104,14 +104,15 @@ RunOutput run_workload(workloads::Workload& workload, const RunConfig& cfg) {
   ecfg.loi_schedule = cfg.loi_schedule;
   ecfg.link_model = cfg.link_model;
 
-  // Epoch-profile memoization (docs/REPRICE.md): when enabled, runs whose
-  // functional half (workload id + shaped machine + hierarchy + prefetch
-  // switch) was already captured are re-priced in O(epochs) under this
-  // config's timing half. The workload must publish a param-complete
-  // functional id. Engines with migration runtimes or epoch callbacks are
-  // built by scenario code directly and never pass through here, so those
-  // runs fall back to full simulation silently and correctly.
-  if (reprice_enabled()) {
+  // Epoch-profile memoization (docs/REPRICE.md): inside a ProfileScope
+  // (every run_sweep task, `memdis level3`), runs whose functional half
+  // (workload id + shaped machine + hierarchy + prefetch switch) the bound
+  // cache already captured are re-priced in O(epochs) under this config's
+  // timing half. The workload must publish a param-complete functional
+  // id. Engines with migration runtimes or epoch callbacks are built by
+  // scenario code directly and never pass through here, so those runs
+  // fall back to full simulation silently and correctly.
+  if (ProfileCache* cache = ProfileScope::current()) {
     const std::string id = workload.functional_id();
     if (!id.empty()) {
       const std::string key =
@@ -121,9 +122,9 @@ RunOutput run_workload(workloads::Workload& workload, const RunConfig& cfg) {
       timing.background_loi_per_tier = cfg.background_loi_per_tier;
       timing.loi_schedule = cfg.loi_schedule;
       timing.link_model = cfg.link_model;
-      if (const auto profile = find_epoch_profile(key)) return reprice(*profile, timing);
+      if (const auto profile = cache->find(key)) return reprice(*profile, timing);
       RunOutput out = run_live(workload, ecfg, cfg.prefetch_enabled);
-      store_epoch_profile(key, EpochProfile{ecfg.machine, ecfg.stall_weight, out});
+      cache->store(key, EpochProfile{ecfg.machine, ecfg.stall_weight, out});
       return out;
     }
   }

@@ -22,7 +22,7 @@ namespace memdis::core {
 /// determines the access stream and cache-state evolution — and a *timing*
 /// half — background_loi, background_loi_per_tier, loi_schedule,
 /// link_model: everything that only changes what the links charge. The
-/// epoch-profile repricer (core/epoch_profile.h, `memdis sweep --reprice`)
+/// epoch-profile repricer (core/epoch_profile.h, on in every run_sweep)
 /// exploits the split: one full simulation per functional key, O(epochs)
 /// repricing for every timing variation of it. Keep new fields on the
 /// right side of that line (a field that feeds back into placement or

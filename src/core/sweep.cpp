@@ -260,35 +260,32 @@ SweepResult run_sweep(const SweepSpec& spec, const MeasureFn& measure,
   SweepResult result;
   result.rows.resize(points.size());
   const auto t0 = std::chrono::steady_clock::now();
+  ProfileCache cache;
   const auto run_point = [&](std::size_t i) {
+    const ProfileScope scope(cache);
     result.rows[i].point = points[i];
     result.rows[i].metrics = measure(points[i]);
   };
-  if (reprice_enabled() && points.size() > 1) {
-    // Two waves: the first point of each functional group runs (and, for
-    // eligible measures, captures its epoch profile) before the rest of
-    // the group re-prices from it. Purely a scheduling optimization —
-    // without it a group's points racing in one wave would each capture —
-    // rows land in grid slots either way, bit-identical to serial.
-    std::vector<std::size_t> leaders;
-    std::vector<std::size_t> followers;
-    std::unordered_set<std::string> seen;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      if (seen.insert(points[i].functional_group_key()).second) {
-        leaders.push_back(i);
-      } else {
-        followers.push_back(i);
-      }
+  // Two waves: the first point of each functional group runs (and, for
+  // eligible measures, captures its epoch profile) before the rest of the
+  // group re-prices from it. Purely a scheduling optimization — without it
+  // a group's points racing in one wave would each capture — rows land in
+  // grid slots either way, bit-identical to serial.
+  std::vector<std::size_t> leaders;
+  std::vector<std::size_t> followers;
+  std::unordered_set<std::string> seen;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    if (seen.insert(points[i].functional_group_key()).second) {
+      leaders.push_back(i);
+    } else {
+      followers.push_back(i);
     }
-    parallel_for(leaders.size(), options.jobs,
-                 [&](std::size_t j) { run_point(leaders[j]); });
-    parallel_for(followers.size(), options.jobs,
-                 [&](std::size_t j) { run_point(followers[j]); });
-  } else {
-    parallel_for(points.size(), options.jobs, run_point);
   }
+  parallel_for(leaders.size(), options.jobs, [&](std::size_t j) { run_point(leaders[j]); });
+  parallel_for(followers.size(), options.jobs, [&](std::size_t j) { run_point(followers[j]); });
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  result.repricing = cache.stats();
   return result;
 }
 

@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/epoch_profile.h"
 #include "core/experiment.h"
 #include "workloads/workload.h"
 
@@ -69,9 +70,9 @@ struct SweepPoint {
   [[nodiscard]] std::unique_ptr<workloads::Workload> make_workload() const;
 
   /// Groups grid points that share a functional half (everything except
-  /// the timing knobs `loi` and `link_model`, and `index`, the row slot). When
-  /// repricing is on, run_sweep schedules one capture per group before the
-  /// rest of the group re-prices (see core/epoch_profile.h).
+  /// the timing knobs `loi` and `link_model`, and `index`, the row slot).
+  /// run_sweep schedules one capture per group before the rest of the
+  /// group re-prices (see core/epoch_profile.h).
   [[nodiscard]] std::string functional_group_key() const;
 
   /// Memberwise equality over *all* fields — defaulted, so a new field can
@@ -129,6 +130,9 @@ struct SweepResult {
   std::string scenario;        ///< name of the scenario that produced it, if any
   std::vector<SweepRow> rows;  ///< grid order, independent of execution order
   double wall_seconds = 0.0;   ///< excluded from artifacts and equality
+  /// Epoch-profile captures and re-prices of this sweep's runs; excluded
+  /// from artifacts and equality like wall_seconds.
+  RepriceStats repricing;
 
   /// Union of metric names in first-appearance (row-major) order.
   [[nodiscard]] std::vector<std::string> metric_names() const;
@@ -152,11 +156,13 @@ struct SweepOptions {
 };
 
 /// Expands `spec` and runs `measure` over every point on a thread pool.
-/// When repricing is enabled (core/epoch_profile.h), tasks run in two
-/// waves — one leader per functional group first, then the followers — so
-/// each group's capture exists before its re-prices ask for it. Results
-/// are independent of the scheduling either way (the determinism
-/// contract), waves only avoid redundant captures.
+/// Every task runs inside a ProfileScope on one ProfileCache that lives
+/// for this call (core/epoch_profile.h), so run_workload calls in the
+/// measure re-price timing-only variations of an earlier capture. Tasks
+/// run in two waves — one leader per functional group first, then the
+/// followers — so each group's capture exists before its re-prices ask
+/// for it. Results are independent of the scheduling (the determinism
+/// contract); waves only avoid redundant captures.
 [[nodiscard]] SweepResult run_sweep(const SweepSpec& spec, const MeasureFn& measure,
                                     const SweepOptions& options = {});
 

@@ -1,6 +1,7 @@
 // Whole-engine state capture and bit-exact comparison for the differential
 // tests: the bulk fast path against its element-wise reference, and trace
-// replay against the live run it recorded.
+// replay against the live run it recorded. Also the live full-simulation
+// reference that repriced sweeps are compared against.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -14,6 +15,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/epoch_profile.h"
+#include "core/sweep.h"
 #include "sim/engine.h"
 #include "workloads/workload.h"
 
@@ -94,6 +97,16 @@ inline void expect_same_run(const EngineRun& a, const EngineRun& b) {
   EXPECT_EQ(a.page_accesses, b.page_accesses);
   EXPECT_EQ(std::tuple(bits(a.elapsed_s), a.flops, a.peak_rss_bytes),
             std::tuple(bits(b.elapsed_s), b.flops, b.peak_rss_bytes));
+}
+
+/// The full-simulation reference for a sweep: `measure` over every point of
+/// `spec.expand()`, serially in grid order on the calling thread and
+/// outside any ProfileScope, so every run_workload simulates live.
+inline core::SweepResult live_sweep(const core::SweepSpec& spec, const core::MeasureFn& measure) {
+  EXPECT_EQ(core::ProfileScope::current(), nullptr);
+  core::SweepResult result;
+  for (const auto& point : spec.expand()) result.rows.push_back({point, measure(point)});
+  return result;
 }
 
 }  // namespace memdis::test

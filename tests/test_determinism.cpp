@@ -12,7 +12,6 @@
 #include <utility>
 
 #include "common/simd.h"
-#include "core/epoch_profile.h"
 #include "core/migration.h"
 #include "core/scenario_registry.h"
 #include "core/sweep.h"
@@ -29,28 +28,37 @@ struct Artifacts {
 
 /// Runs a copy of the registered scenario with its spec's link model set
 /// (kLoi is the registered default).
-Artifacts artifacts_of(const std::string& scenario_name, unsigned jobs,
-                       memsim::LinkModelKind link_model = memsim::LinkModelKind::kLoi) {
+core::SweepResult result_of(const std::string& scenario_name, unsigned jobs,
+                            memsim::LinkModelKind link_model = memsim::LinkModelKind::kLoi) {
   const auto* registered = core::ScenarioRegistry::instance().find(scenario_name);
   EXPECT_NE(registered, nullptr) << scenario_name;
   core::Scenario scenario = *registered;
   scenario.spec.link_model = link_model;
   core::SweepOptions options;
   options.jobs = jobs;
-  const auto result = core::run_scenario(scenario, options);
-  Artifacts out;
+  return core::run_scenario(scenario, options);
+}
+
+Artifacts artifacts(const core::SweepResult& result) {
   std::ostringstream csv, json;
   result.write_csv(csv);
   result.write_json(json);
-  out.csv = csv.str();
-  out.json = json.str();
-  return out;
+  return {csv.str(), json.str()};
+}
+
+Artifacts artifacts_of(const std::string& scenario_name, unsigned jobs,
+                       memsim::LinkModelKind link_model = memsim::LinkModelKind::kLoi) {
+  return artifacts(result_of(scenario_name, jobs, link_model));
 }
 
 /// The staged-migration scenario exercises the full epoch-callback stack:
 /// per-scan re-pricing, budgets, demotion swaps, and charged transfer time.
+/// Its engines carry migration runtimes, so no run reaches the repricer.
 TEST(Determinism, ExtStagedMigrationArtifactsAreReproducible) {
-  const Artifacts first = artifacts_of("ext-staged-migration", 1);
+  const core::SweepResult first_run = result_of("ext-staged-migration", 1);
+  EXPECT_EQ(first_run.repricing.captures, 0u);
+  EXPECT_EQ(first_run.repricing.reprices, 0u);
+  const Artifacts first = artifacts(first_run);
   const Artifacts second = artifacts_of("ext-staged-migration", 1);
   EXPECT_EQ(first.csv, second.csv);
   EXPECT_EQ(first.json, second.json);
@@ -269,99 +277,54 @@ TEST(Determinism, ExtQueueContentionArtifactsAreReproducible) {
 }
 
 // ---- epoch-profile repricing vs full simulation -----------------------------
-// The correctness gate for `--reprice` (core/epoch_profile.h): a scenario
-// run that captures one epoch profile per functional key and re-prices
-// every other grid point from it must produce byte-identical artifacts to
-// the all-full-simulation run. fig06's axes (app, scale, prefetch) are
-// all functional, so it pins the other half of the contract: on a grid
-// with no timing axis every point captures and nothing re-prices — the
-// flag is a byte-exact no-op. Scenarios whose measure functions sweep an
-// LoI axis (ext-cxl, fig10) exercise reprices > 0 in tests/test_reprice.cpp.
-
-/// Scoped override of the repricing switch: clears the profile cache on
-/// entry and exit so no capture leaks between tests.
-class ScopedReprice {
- public:
-  explicit ScopedReprice(bool on) : saved_(core::reprice_enabled()) {
-    core::clear_reprice_cache();
-    core::set_reprice_enabled(on);
-  }
-  ~ScopedReprice() {
-    core::set_reprice_enabled(saved_);
-    core::clear_reprice_cache();
-  }
-  ScopedReprice(const ScopedReprice&) = delete;
-  ScopedReprice& operator=(const ScopedReprice&) = delete;
-
- private:
-  bool saved_;
-};
+// The correctness gate for the repricer (core/epoch_profile.h): every
+// run_sweep captures one epoch profile per functional key and re-prices
+// every other eligible run from it, and must produce byte-identical
+// artifacts to the live reference loop (test::live_sweep). fig06's axes
+// (app, scale, prefetch) are all functional, so it pins one half of the
+// contract: on a grid with no timing axis every point captures and
+// nothing re-prices. Scenarios whose measure functions sweep an LoI axis
+// (ext-cxl) exercise reprices > 0 in tests/test_reprice.cpp.
 
 TEST(Determinism, Fig06RepriceMatchesFullSimulation) {
 #ifdef MEMDIS_UNDER_ASAN
   GTEST_SKIP() << "double fig06 run exceeds the sanitized scenario timeout";
 #endif
-  const Artifacts full = artifacts_of("fig06", 1);
-  Artifacts repriced;
-  {
-    ScopedReprice reprice(true);
-    repriced = artifacts_of("fig06", 1);
-    // Every fig06 axis is functional (the profiler's prefetch on/off pair
-    // included), so each eligible run captures and none re-prices: the
-    // flag must be a strict byte-exact no-op on such a grid.
-    EXPECT_GT(core::reprice_stats().captures, 0u);
-    EXPECT_EQ(core::reprice_stats().reprices, 0u);
-  }
-  EXPECT_EQ(full.csv, repriced.csv);
-  EXPECT_EQ(full.json, repriced.json);
-  EXPECT_FALSE(full.csv.empty());
+  const auto* fig06 = core::ScenarioRegistry::instance().find("fig06");
+  ASSERT_NE(fig06, nullptr);
+  core::SweepResult full = test::live_sweep(fig06->spec, fig06->measure);
+  full.scenario = fig06->name;
+  const core::SweepResult repriced = core::run_scenario(*fig06, {.jobs = 1});
+  // Every fig06 axis is functional (the profiler's prefetch on/off pair
+  // included), so each eligible run captures and none re-prices.
+  EXPECT_GT(repriced.repricing.captures, 0u);
+  EXPECT_EQ(repriced.repricing.reprices, 0u);
+  EXPECT_TRUE(full.rows_equal(repriced));
+  const Artifacts a = artifacts(full);
+  const Artifacts b = artifacts(repriced);
+  EXPECT_EQ(a.csv, b.csv);
+  EXPECT_EQ(a.json, b.json);
+  EXPECT_FALSE(a.csv.empty());
 }
 
-/// Repricing composes with parallel execution: the two-wave schedule must
-/// keep the sweep contract (rows land in grid slots, artifacts identical
-/// for any jobs count).
-TEST(Determinism, Fig06RepriceParallelMatchesSerial) {
-#ifdef MEMDIS_UNDER_ASAN
-  GTEST_SKIP() << "double fig06 run exceeds the sanitized scenario timeout";
-#endif
-  ScopedReprice reprice(true);
-  const Artifacts serial = artifacts_of("fig06", 1);
-  core::clear_reprice_cache();
-  const Artifacts parallel = artifacts_of("fig06", 3);
-  EXPECT_EQ(serial.csv, parallel.csv);
-  EXPECT_EQ(serial.json, parallel.json);
-}
-
-/// Enabling repricing under the queue link model must leave fig06's
-/// zero-bulk-traffic collapse to the closed-form artifacts intact (the
-/// PR 6 compat guarantee, with the capture path engaged).
-TEST(Determinism, Fig06RepriceUnderQueueModelMatchesLoiModel) {
-#ifdef MEMDIS_UNDER_ASAN
-  GTEST_SKIP() << "double fig06 run exceeds the sanitized scenario timeout";
-#endif
-  const Artifacts loi = artifacts_of("fig06", 1);
-  Artifacts repriced_queue;
-  {
-    ScopedReprice reprice(true);
-    repriced_queue = artifacts_of("fig06", 1, memsim::LinkModelKind::kQueue);
-  }
-  EXPECT_EQ(loi.csv, repriced_queue.csv);
-  EXPECT_EQ(loi.json, repriced_queue.json);
-}
-
-/// A planner-heavy scenario (migration runtimes, epoch callbacks) never
-/// reaches the repricer — enabling it must be a strict no-op there.
-TEST(Determinism, ExtStagedMigrationRepriceIsANoOp) {
-  const Artifacts off = artifacts_of("ext-staged-migration", 1);
-  Artifacts on;
-  {
-    ScopedReprice reprice(true);
-    on = artifacts_of("ext-staged-migration", 1);
-    EXPECT_EQ(core::reprice_stats().reprices, 0u);
-    EXPECT_EQ(core::reprice_stats().captures, 0u);
-  }
-  EXPECT_EQ(off.csv, on.csv);
-  EXPECT_EQ(off.json, on.json);
+/// Repricing composes with parallel execution: the leader/follower waves
+/// must keep the sweep contract (rows land in grid slots, artifacts
+/// identical for any jobs count) while runs re-price across tasks.
+/// ext-asym-loi's per-link LoI variants share one functional key per app
+/// and topology, four grid-adjacent points each. With two workers, a
+/// worker only picks the third point of a group once one of the group's
+/// first two has finished and stored its capture, so re-prices are
+/// guaranteed on any host.
+TEST(Determinism, ExtAsymLoiRepriceParallelMatchesSerial) {
+  const core::SweepResult serial = result_of("ext-asym-loi", 1);
+  const core::SweepResult parallel = result_of("ext-asym-loi", 2);
+  EXPECT_GT(parallel.repricing.reprices, 0u);
+  EXPECT_GT(serial.repricing.reprices, 0u);
+  const Artifacts a = artifacts(serial);
+  const Artifacts b = artifacts(parallel);
+  EXPECT_EQ(a.csv, b.csv);
+  EXPECT_EQ(a.json, b.json);
+  EXPECT_FALSE(a.csv.empty());
 }
 
 }  // namespace

@@ -1,51 +1,37 @@
-// Epoch-profile repricing (core/epoch_profile.h): equivalence and fallback
-// correctness.
+// Epoch-profile repricing (core/epoch_profile.h): equivalence, fallback
+// correctness, and who owns the profile cache.
 //
-// The contract under test is byte-identity: with `--reprice on`, every
-// eligible grid point must produce artifacts bit-identical to the full
-// simulation it replaces, and every ineligible point (migration runtime
-// attached, epoch callback installed, workload without a functional id)
-// must fall back to full simulation silently — so a sweep mixing both
-// kinds writes byte-identical CSV/JSON either way.
+// The contract under test is byte-identity: inside a ProfileScope, every
+// eligible run must produce output bit-identical to the full simulation
+// it replaces (the same call outside any scope), and every ineligible
+// point (migration runtime attached, epoch callback installed, workload
+// without a functional id) must fall back to full simulation silently —
+// so a sweep mixing both kinds writes the same CSV/JSON as the live
+// reference loop. The cache lives for one sweep (or one explicit scope)
+// and nothing of it leaks to the calling thread afterwards.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/epoch_profile.h"
 #include "core/experiment.h"
 #include "core/migration.h"
+#include "core/profiler.h"
 #include "core/scenario_registry.h"
 #include "core/sweep.h"
+#include "engine_run.h"
 #include "memsim/loi_schedule.h"
 #include "sim/engine.h"
 #include "workloads/lbench.h"
 
 namespace memdis::core {
 namespace {
-
-// Saves the process-wide reprice switch, clears the profile cache, and
-// restores both on destruction — the same Scoped-override idiom the other
-// suites use for the link-model default.
-class ScopedReprice {
- public:
-  explicit ScopedReprice(bool on) : saved_(reprice_enabled()) {
-    clear_reprice_cache();
-    set_reprice_enabled(on);
-  }
-  ~ScopedReprice() {
-    set_reprice_enabled(saved_);
-    clear_reprice_cache();
-  }
-  ScopedReprice(const ScopedReprice&) = delete;
-  ScopedReprice& operator=(const ScopedReprice&) = delete;
-
- private:
-  bool saved_;
-};
 
 bool bits_equal(double a, double b) {
   std::uint64_t ab = 0, bb = 0;
@@ -79,6 +65,27 @@ class AnonymousLbench final : public workloads::Workload {
 
  private:
   workloads::Lbench inner_;
+};
+
+// Pass-through wrapper that forwards functional_id() (so it is eligible)
+// and counts how many times the workload really ran.
+class CountingLbench final : public workloads::Workload {
+ public:
+  CountingLbench(const workloads::LbenchParams& p, std::atomic<int>& runs)
+      : inner_(p), runs_(runs) {}
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+  [[nodiscard]] std::uint64_t footprint_bytes() const override {
+    return inner_.footprint_bytes();
+  }
+  [[nodiscard]] std::string functional_id() const override { return inner_.functional_id(); }
+  workloads::WorkloadResult run(sim::Engine& eng) override {
+    runs_.fetch_add(1);
+    return inner_.run(eng);
+  }
+
+ private:
+  workloads::Lbench inner_;
+  std::atomic<int>& runs_;
 };
 
 // Asserts bit-identity of everything the repricer recomputes (and of the
@@ -125,27 +132,23 @@ RunConfig timing_point(double loi) {
 
 TEST(Reprice, RunWorkloadIsBitIdenticalAcrossTheLoiAxis) {
   const std::vector<double> lois = {0.0, 10.0, 25.0, 50.0};
-  // Reference: full simulation for every point.
+  // Reference: full simulation for every point, outside any scope.
   std::vector<RunOutput> live;
-  {
-    const ScopedReprice off(false);
-    for (const double loi : lois) {
-      workloads::Lbench wl(small_lbench(7));
-      live.push_back(run_workload(wl, timing_point(loi)));
-    }
+  for (const double loi : lois) {
+    workloads::Lbench wl(small_lbench(7));
+    live.push_back(run_workload(wl, timing_point(loi)));
   }
   // Repriced: the first point captures, the rest fold the cost model over
   // its epoch profile.
-  const ScopedReprice on(true);
+  ProfileCache cache;
+  const ProfileScope scope(cache);
   for (std::size_t i = 0; i < lois.size(); ++i) {
     workloads::Lbench wl(small_lbench(7));
     const RunOutput out = run_workload(wl, timing_point(lois[i]));
     expect_outputs_identical(live[i], out);
   }
-  const RepriceStats stats = reprice_stats();
-  EXPECT_EQ(stats.captures, 1u);
-  EXPECT_EQ(stats.reprices, lois.size() - 1);
-  EXPECT_EQ(reprice_cache_size(), 1u);
+  EXPECT_EQ(cache.stats().captures, 1u);
+  EXPECT_EQ(cache.stats().reprices, lois.size() - 1);
 }
 
 TEST(Reprice, LoiScheduleAndPerTierOverridesRepriceBitExactly) {
@@ -159,21 +162,19 @@ TEST(Reprice, LoiScheduleAndPerTierOverridesRepriceBitExactly) {
     rc.loi_schedule.set(pool, memsim::LoiWaveform::square(2, 0.5, 40.0, loi));
     return rc;
   };
-  RunOutput live0, live25;
-  {
-    const ScopedReprice off(false);
-    workloads::Lbench a(small_lbench(11));
-    live0 = run_workload(a, make_config(0.0));
-    workloads::Lbench b(small_lbench(11));
-    live25 = run_workload(b, make_config(25.0));
-  }
-  const ScopedReprice on(true);
+  workloads::Lbench live_a(small_lbench(11));
+  const RunOutput live0 = run_workload(live_a, make_config(0.0));
+  workloads::Lbench live_b(small_lbench(11));
+  const RunOutput live25 = run_workload(live_b, make_config(25.0));
+
+  ProfileCache cache;
+  const ProfileScope scope(cache);
   workloads::Lbench a(small_lbench(11));
   expect_outputs_identical(live0, run_workload(a, make_config(0.0)));
   workloads::Lbench b(small_lbench(11));
   expect_outputs_identical(live25, run_workload(b, make_config(25.0)));
-  EXPECT_EQ(reprice_stats().captures, 1u);
-  EXPECT_EQ(reprice_stats().reprices, 1u);
+  EXPECT_EQ(cache.stats().captures, 1u);
+  EXPECT_EQ(cache.stats().reprices, 1u);
 }
 
 TEST(Reprice, QueueModelRepriceReplaysObservesBitExactly) {
@@ -186,31 +187,135 @@ TEST(Reprice, QueueModelRepriceReplaysObservesBitExactly) {
     rc.link_model = memsim::LinkModelKind::kQueue;
     return rc;
   };
-  RunOutput live0, live25;
-  {
-    const ScopedReprice off(false);
-    workloads::Lbench a(small_lbench(13));
-    live0 = run_workload(a, make_config(0.0));
-    workloads::Lbench b(small_lbench(13));
-    live25 = run_workload(b, make_config(25.0));
-  }
-  const ScopedReprice on(true);
+  workloads::Lbench live_a(small_lbench(13));
+  const RunOutput live0 = run_workload(live_a, make_config(0.0));
+  workloads::Lbench live_b(small_lbench(13));
+  const RunOutput live25 = run_workload(live_b, make_config(25.0));
+
+  ProfileCache cache;
+  const ProfileScope scope(cache);
   workloads::Lbench a(small_lbench(13));
   expect_outputs_identical(live0, run_workload(a, make_config(0.0)));
   workloads::Lbench b(small_lbench(13));
   expect_outputs_identical(live25, run_workload(b, make_config(25.0)));
-  EXPECT_EQ(reprice_stats().reprices, 1u);
+  EXPECT_EQ(cache.stats().reprices, 1u);
 }
 
 TEST(Reprice, WorkloadWithoutFunctionalIdFallsBackToFullSimulation) {
-  const ScopedReprice on(true);
+  ProfileCache cache;
+  const ProfileScope scope(cache);
   AnonymousLbench wl(small_lbench(17));
   const RunOutput out = run_workload(wl, timing_point(25.0));
   EXPECT_GT(out.elapsed_s, 0.0);
-  const RepriceStats stats = reprice_stats();
-  EXPECT_EQ(stats.captures, 0u);
-  EXPECT_EQ(stats.reprices, 0u);
-  EXPECT_EQ(reprice_cache_size(), 0u);
+  EXPECT_EQ(cache.stats().captures, 0u);
+  EXPECT_EQ(cache.stats().reprices, 0u);
+}
+
+// ---- who owns the profile cache ----------------------------------------------
+
+TEST(ProfileScope, RunWorkloadOutsideAnyScopeAlwaysSimulates) {
+  ASSERT_EQ(ProfileScope::current(), nullptr);
+  std::atomic<int> runs{0};
+  CountingLbench wl(small_lbench(19), runs);
+  ASSERT_FALSE(wl.functional_id().empty());
+  (void)run_workload(wl, timing_point(0.0));
+  (void)run_workload(wl, timing_point(25.0));
+  EXPECT_EQ(runs.load(), 2);
+}
+
+TEST(ProfileScope, ScopesNestAndRestoreTheOuterBinding) {
+  ProfileCache outer, inner;
+  {
+    const ProfileScope a(outer);
+    EXPECT_EQ(ProfileScope::current(), &outer);
+    {
+      const ProfileScope b(inner);
+      EXPECT_EQ(ProfileScope::current(), &inner);
+    }
+    EXPECT_EQ(ProfileScope::current(), &outer);
+  }
+  EXPECT_EQ(ProfileScope::current(), nullptr);
+}
+
+TEST(ProfileScope, EachSweepOwnsAFreshCache) {
+  SweepSpec spec;
+  spec.apps = {workloads::App::kHPL};  // grid label only; the measure runs Lbench
+  spec.ratios = {0.5};
+  spec.lois = {0.0, 10.0, 25.0};
+  spec.base_seed = 23;
+  spec.seed_per_task = false;
+  std::atomic<int> runs{0};
+  const MeasureFn measure = [&](const SweepPoint& point) -> std::vector<Metric> {
+    CountingLbench wl(small_lbench(point.seed), runs);
+    return {{"elapsed_s", run_workload(wl, point.run_config()).elapsed_s}};
+  };
+  // Back to back over the same grid: if the cache outlived the first sweep,
+  // the second would re-price its leader instead of capturing.
+  for (int sweep = 0; sweep < 2; ++sweep) {
+    const SweepResult result = run_sweep(spec, measure, {.jobs = 2});
+    EXPECT_EQ(result.repricing.captures, 1u) << "sweep " << sweep;
+    EXPECT_EQ(result.repricing.reprices, 2u) << "sweep " << sweep;
+  }
+  EXPECT_EQ(runs.load(), 2);
+  EXPECT_EQ(ProfileScope::current(), nullptr);
+}
+
+TEST(ProfileScope, ThrowingSweepLeavesTheCallingThreadLive) {
+  // RunSweep.TaskExceptionPropagates' grid: task 7 throws, task 0 captures
+  // a profile under the key the checks below run with.
+  SweepSpec spec;
+  spec.apps = {workloads::App::kHPL, workloads::App::kBFS};
+  spec.scales = {1, 2};
+  spec.ratios = {kNodeOnly, 0.5};
+  spec.lois = {0.0, 25.0};
+  std::atomic<int> runs{0};
+  const MeasureFn failing = [&](const SweepPoint& point) -> std::vector<Metric> {
+    if (point.index == 7) throw std::runtime_error("task 7 failed");
+    if (point.index == 0) {
+      CountingLbench wl(small_lbench(29), runs);
+      (void)run_workload(wl, timing_point(0.0));
+    }
+    return {};
+  };
+  for (const unsigned jobs : {1u, 4u}) {
+    SCOPED_TRACE(testing::Message() << "jobs " << jobs);
+    EXPECT_THROW((void)run_sweep(spec, failing, {.jobs = jobs}), std::runtime_error);
+    EXPECT_EQ(ProfileScope::current(), nullptr);
+    const int before = runs.load();
+    CountingLbench wl(small_lbench(29), runs);
+    (void)run_workload(wl, timing_point(25.0));
+    (void)run_workload(wl, timing_point(25.0));
+    EXPECT_EQ(runs.load(), before + 2);
+  }
+}
+
+TEST(ProfileScope, Level3InsideAScopeMatchesLiveBitForBit) {
+  const std::vector<double> lois = {0.0, 10.0, 25.0, 50.0};
+  const MultiLevelProfiler profiler;
+  workloads::Lbench live_wl(small_lbench(31));
+  const Level3Profile live = profiler.level3(live_wl, 0.5, lois);
+
+  ProfileCache cache;
+  Level3Profile scoped;
+  {
+    const ProfileScope scope(cache);
+    workloads::Lbench wl(small_lbench(31));
+    scoped = profiler.level3(wl, 0.5, lois);
+  }
+  ASSERT_EQ(live.sensitivity.size(), scoped.sensitivity.size());
+  for (std::size_t i = 0; i < live.sensitivity.size(); ++i) {
+    EXPECT_TRUE(bits_equal(live.sensitivity[i].loi, scoped.sensitivity[i].loi));
+    EXPECT_TRUE(bits_equal(live.sensitivity[i].relative_performance,
+                           scoped.sensitivity[i].relative_performance))
+        << "LoI " << live.sensitivity[i].loi;
+  }
+  EXPECT_TRUE(bits_equal(live.induced.ic_mean, scoped.induced.ic_mean));
+  EXPECT_TRUE(bits_equal(live.induced.ic_min, scoped.induced.ic_min));
+  EXPECT_TRUE(bits_equal(live.induced.ic_max, scoped.induced.ic_max));
+  // One capture (the sensitivity baseline); the three loaded levels and
+  // level3's own baseline run re-price it.
+  EXPECT_EQ(cache.stats().captures, 1u);
+  EXPECT_EQ(cache.stats().reprices, 4u);
 }
 
 // ---- the mixed-grid sweep (the ISSUE's fallback-correctness check) ----------
@@ -290,49 +395,41 @@ SweepSpec mixed_spec() {
   return spec;
 }
 
+void expect_same_artifacts(const SweepResult& a, const SweepResult& b) {
+  EXPECT_TRUE(a.rows_equal(b));
+  std::ostringstream csv_a, csv_b, json_a, json_b;
+  a.write_csv(csv_a);
+  b.write_csv(csv_b);
+  a.write_json(json_a);
+  b.write_json(json_b);
+  EXPECT_EQ(csv_a.str(), csv_b.str());
+  EXPECT_EQ(json_a.str(), json_b.str());
+  EXPECT_FALSE(csv_a.str().empty());
+}
+
 TEST(Reprice, MixedEligibilitySweepWritesByteIdenticalArtifacts) {
   const SweepSpec spec = mixed_spec();
-  SweepOptions opts;
-  opts.jobs = 2;
-
-  SweepResult full, repriced;
-  {
-    const ScopedReprice off(false);
-    full = run_sweep(spec, mixed_measure, opts);
-  }
-  {
-    const ScopedReprice on(true);
-    repriced = run_sweep(spec, mixed_measure, opts);
-    const RepriceStats stats = reprice_stats();
-    // The eligible variants actually went through the repricer...
-    EXPECT_GT(stats.reprices, 0u);
-    // ...and the ineligible ones never touched the cache: plain and
-    // schedule share one functional key (same workload, machine shaping,
-    // hierarchy), so at most the two wave-1 leaders capture.
-    EXPECT_LE(stats.captures, 2u);
-    EXPECT_LE(reprice_cache_size(), 1u);
-  }
+  const SweepResult full = test::live_sweep(spec, mixed_measure);
+  const SweepResult repriced = run_sweep(spec, mixed_measure, {.jobs = 2});
+  // The eligible variants actually went through the repricer...
+  EXPECT_GT(repriced.repricing.reprices, 0u);
+  // ...and the ineligible ones never touched the cache: plain and schedule
+  // share one functional key (same workload, machine shaping, hierarchy),
+  // so at most the two wave-1 leaders capture.
+  EXPECT_LE(repriced.repricing.captures, 2u);
 
   ASSERT_EQ(full.rows.size(), spec.size());
-  EXPECT_TRUE(full.rows_equal(repriced));
-
-  std::ostringstream csv_full, csv_repriced, json_full, json_repriced;
-  full.write_csv(csv_full);
-  repriced.write_csv(csv_repriced);
-  full.write_json(json_full);
-  repriced.write_json(json_repriced);
-  EXPECT_EQ(csv_full.str(), csv_repriced.str());
-  EXPECT_EQ(json_full.str(), json_repriced.str());
+  expect_same_artifacts(full, repriced);
 }
 
 // ---- a registered scenario with a real timing axis --------------------------
 
 // ext-cxl's measure function runs `sensitivity_sweep` over LoI levels
-// {0, 50} with the workload and machine shaping held fixed, so under
-// repricing the baseline run captures and the LoI-50 run folds the
-// profile — reprices must be strictly positive, unlike fig06 (whose
-// grid has no timing axis and is pinned as a capture-only no-op in
-// tests/test_determinism.cpp). The byte-compare makes this the
+// {0, 50} with the workload and machine shaping held fixed, so inside the
+// sweep the baseline run captures and the LoI-50 run folds the profile —
+// reprices must be strictly positive, unlike fig06 (whose grid has no
+// timing axis and is pinned as capture-only in tests/test_determinism.cpp).
+// The byte-compare against the live reference loop makes this the
 // scenario-level equivalence gate for a grid that genuinely re-prices.
 TEST(Reprice, ExtCxlScenarioRepricesAndMatchesFullSimulation) {
 #ifdef MEMDIS_UNDER_ASAN
@@ -340,25 +437,12 @@ TEST(Reprice, ExtCxlScenarioRepricesAndMatchesFullSimulation) {
 #endif
   const auto* scenario = ScenarioRegistry::instance().find("ext-cxl");
   ASSERT_NE(scenario, nullptr);
-  const auto artifacts = [&](bool reprice) {
-    const ScopedReprice scoped(reprice);
-    SweepOptions opts;
-    opts.jobs = 1;
-    const SweepResult result = run_scenario(*scenario, opts);
-    std::ostringstream csv, json;
-    result.write_csv(csv);
-    result.write_json(json);
-    if (reprice) {
-      EXPECT_GT(reprice_stats().captures, 0u);
-      EXPECT_GT(reprice_stats().reprices, 0u);
-    }
-    return std::make_pair(csv.str(), json.str());
-  };
-  const auto full = artifacts(false);
-  const auto repriced = artifacts(true);
-  EXPECT_EQ(full.first, repriced.first);
-  EXPECT_EQ(full.second, repriced.second);
-  EXPECT_FALSE(full.first.empty());
+  SweepResult full = test::live_sweep(scenario->spec, scenario->measure);
+  full.scenario = scenario->name;
+  const SweepResult repriced = run_scenario(*scenario, {.jobs = 1});
+  EXPECT_GT(repriced.repricing.captures, 0u);
+  EXPECT_GT(repriced.repricing.reprices, 0u);
+  expect_same_artifacts(full, repriced);
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 
 #include "common/parallel_for.h"
 #include "common/rng.h"
-#include "core/epoch_profile.h"
 #include "core/scenario_registry.h"
 #include "core/sweep.h"
 
@@ -176,15 +175,12 @@ TEST(RunSweep, TaskExceptionPropagates) {
 }
 
 TEST(RunSweep, TwoWaveRepriceSchedulingRunsEachTaskExactlyOnce) {
-  const bool saved = reprice_enabled();
-  set_reprice_enabled(true);
   std::atomic<int> calls{0};
   const auto counting = [&](const SweepPoint& p) -> std::vector<Metric> {
     calls.fetch_add(1);
     return {{"i", static_cast<double>(p.index)}};
   };
   const auto result = run_sweep(small_spec(), counting, {.jobs = 4});
-  set_reprice_enabled(saved);
   EXPECT_EQ(calls.load(), 16);
   ASSERT_EQ(result.rows.size(), 16u);
   for (std::size_t i = 0; i < result.rows.size(); ++i)

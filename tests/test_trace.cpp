@@ -397,9 +397,9 @@ TEST(TraceReplay, RecordedAppReplaysBitIdentical) {
 
 // ---- removed modes ------------------------------------------------------------
 
-/// Fast-forward, the sweep replay cache and the process-wide bulk-path and
-/// link-model defaults are gone; their setters and the fast_forward field
-/// survive only as stubs. The one remaining value is accepted and reads
+/// Fast-forward, the sweep replay cache, the process-wide bulk-path and
+/// link-model defaults and the process-wide repricing switch are gone;
+/// their setters and the fast_forward field survive only as stubs. The one remaining value is accepted and reads
 /// back; anything else is a contract violation.
 TEST(RemovedModes, StubsAcceptOnlyOff) {
   EXPECT_THROW(sim::set_fast_forward_default(true), contract_violation);
@@ -409,11 +409,18 @@ TEST(RemovedModes, StubsAcceptOnlyOff) {
   EXPECT_THROW(core::set_replay_cache_dir("x"), contract_violation);
   EXPECT_THROW(sim::set_bulk_fast_path_default(false), contract_violation);
   EXPECT_THROW(sim::set_link_model_default(memsim::LinkModelKind::kQueue), contract_violation);
+  EXPECT_THROW(core::set_reprice_enabled(true), contract_violation);
 
   sim::set_fast_forward_default(false);
   core::set_replay_cache_dir("");
   sim::set_bulk_fast_path_default(true);
   sim::set_link_model_default(memsim::LinkModelKind::kLoi);
+  core::set_reprice_enabled(false);
+  core::clear_reprice_cache();
+  EXPECT_FALSE(core::reprice_enabled());
+  EXPECT_EQ(core::reprice_cache_size(), 0u);
+  EXPECT_EQ(core::reprice_stats().captures, 0u);
+  EXPECT_EQ(core::reprice_stats().reprices, 0u);
   EXPECT_FALSE(sim::fast_forward_default());
   EXPECT_TRUE(core::replay_cache_dir().empty());
   EXPECT_TRUE(sim::bulk_fast_path_default());

@@ -13,7 +13,6 @@
 //   memdis report  [--scale 1]
 //   memdis scenarios
 //   memdis sweep   --scenario fig06 [--jobs N] [--out dir] [--csv file]
-//                  [--reprice on|off]
 //   memdis fleet   [--arrivals poisson:0.12:1000] [--pools 2] [--policy loi-aware]
 //                  [--migration on] [--jobs N] [--out dir] [--csv file]
 //   memdis plan    --app Hypre --fabric three-tier [--ratio 0.75]
@@ -78,7 +77,6 @@ struct Args {
   unsigned jobs = 1;
   std::optional<std::string> out_dir;
   std::optional<std::string> trace_path;  ///< --trace FILE
-  std::optional<bool> reprice;            ///< --reprice on|off
   // fleet subcommand
   std::string arrivals = "poisson:0.12:1000";  ///< --arrivals SPEC
   std::size_t pools = 2;                       ///< --pools N
@@ -130,10 +128,6 @@ void usage(std::ostream& os) {
      << "  --link-model M    fabric link contention model: loi (closed form,\n"
      << "                    default) or queue (two-class demand/bulk queues)\n"
      << "  --trace FILE      trace file (.mdtr) for the trace subcommand\n"
-     << "  --reprice M       on|off: epoch-profile memoization — one full run\n"
-     << "                    per functional key, every timing-only variation\n"
-     << "                    re-priced in O(epochs), byte-identical artifacts\n"
-     << "                    (default off; docs/REPRICE.md)\n"
      << "  --arrivals SPEC   fleet arrival process: poisson:<rate>:<count> or\n"
      << "                    trace:<file> (CSV: header, then arrival_s,class;\n"
      << "                    default poisson:0.12:1000)\n"
@@ -341,15 +335,6 @@ std::optional<Args> parse(int argc, char** argv) {
       args.out_dir = *value;
     } else if (flag == "--trace") {
       args.trace_path = *value;
-    } else if (flag == "--reprice") {
-      if (*value == "on") {
-        args.reprice = true;
-      } else if (*value == "off") {
-        args.reprice = false;
-      } else {
-        std::cerr << "error: --reprice expects on or off, got '" << *value << "'\n";
-        return std::nullopt;
-      }
     } else {
       std::cerr << "unknown option " << flag << "\n";
       return std::nullopt;
@@ -517,6 +502,10 @@ int cmd_level3(const Args& args, workloads::App app) {
   rc.link_model = args.link_model;
   core::MultiLevelProfiler profiler(rc);
   auto wl = workloads::make_workload(app, args.scale);
+  // One profile cache for the whole command: the LoI levels re-price the
+  // sensitivity baseline's capture, and so does level3's own baseline run.
+  core::ProfileCache profiles;
+  const core::ProfileScope scope(profiles);
   const auto l3 = profiler.level3(*wl, args.ratio, args.lois);
   Table t({"LoI (%)", "relative performance"});
   for (const auto& pt : l3.sensitivity)
@@ -899,7 +888,6 @@ int main(int argc, char** argv) {
     usage(std::cerr);
     return 2;
   }
-  if (args->reprice) core::set_reprice_enabled(*args->reprice);
   try {
     if (args->command == "trace") return cmd_trace(*args);
     if (args->command == "machine") return cmd_machine(*args);
