@@ -17,8 +17,7 @@ CacheHierarchy::CacheHierarchy(const HierarchyConfig& cfg, memsim::TieredMemory&
       l1_(cfg.l1),
       l2_(cfg.l2),
       l3_(cfg.l3),
-      prefetcher_(with_line(cfg.prefetcher, cfg.l2.line_bytes, mem.page_bytes())),
-      pebs_(cfg.pebs_period, mem.page_bytes()) {}
+      prefetcher_(with_line(cfg.prefetcher, cfg.l2.line_bytes, mem.page_bytes())) {}
 
 AccessResult CacheHierarchy::access_miss(std::uint64_t vaddr, bool is_store) {
   // L1 miss: the L2 access stream is what trains the streamer.
@@ -38,8 +37,6 @@ AccessResult CacheHierarchy::access_miss(std::uint64_t vaddr, bool is_store) {
     result = AccessResult{HitLevel::kL3, memsim::kNodeTier, false};
   } else {
     const memsim::TierId tier = dram_fetch(vaddr, /*demand=*/true);
-    // PEBS records demand *load* misses (Sec. 3.1); RFO misses are excluded.
-    if (!is_store) pebs_.sample(vaddr, tier);
     if (auto ev = l3_.fill_absent(vaddr, /*dirty=*/false, /*prefetched=*/false))
       handle_l3_eviction(*ev);
     ++counters_.l2_lines_in;
@@ -90,10 +87,7 @@ memsim::TierId CacheHierarchy::dram_fetch(std::uint64_t line_addr, bool demand) 
 }
 
 void CacheHierarchy::handle_l2_eviction(const Eviction& ev) {
-  if (ev.prefetched_unused) {
-    ++counters_.useless_hwpf;
-    prefetcher_.record_useless();
-  }
+  if (ev.prefetched_unused) ++counters_.useless_hwpf;
   if (ev.dirty && !l3_.mark_dirty_if_present(ev.line_addr)) writeback_to_dram(ev.line_addr);
 }
 
@@ -115,10 +109,7 @@ void CacheHierarchy::drain() {
     }
   });
   l2_.drain([this](const Eviction& ev) {
-    if (ev.prefetched_unused) {
-      ++counters_.useless_hwpf;
-      prefetcher_.record_useless();
-    }
+    if (ev.prefetched_unused) ++counters_.useless_hwpf;
     if (ev.dirty && !l3_.mark_dirty_if_present(ev.line_addr)) writeback_to_dram(ev.line_addr);
   });
   l3_.drain([this](const Eviction& ev) {

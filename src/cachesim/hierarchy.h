@@ -24,7 +24,6 @@
 
 #include "cachesim/cache.h"
 #include "cachesim/counters.h"
-#include "cachesim/pebs.h"
 #include "cachesim/prefetcher.h"
 #include "memsim/page_table.h"
 
@@ -40,7 +39,6 @@ struct HierarchyConfig {
   CacheConfig l2{128 * 1024, 8, 64};
   CacheConfig l3{1024 * 1024, 16, 64};
   PrefetcherConfig prefetcher{};
-  std::uint64_t pebs_period = 1;
 };
 
 /// Where a demand access was satisfied.
@@ -116,7 +114,6 @@ class CacheHierarchy {
   [[nodiscard]] bool prefetch_enabled() const { return prefetcher_.enabled(); }
 
   [[nodiscard]] const HwCounters& counters() const { return counters_; }
-  [[nodiscard]] const PebsSampler& pebs() const { return pebs_; }
   [[nodiscard]] const StreamPrefetcher& prefetcher() const { return prefetcher_; }
   [[nodiscard]] const HierarchyConfig& config() const { return cfg_; }
   [[nodiscard]] memsim::TieredMemory& memory() { return mem_; }
@@ -138,7 +135,6 @@ class CacheHierarchy {
   SetAssocCache l2_;
   SetAssocCache l3_;
   StreamPrefetcher prefetcher_;
-  PebsSampler pebs_;
   HwCounters counters_;
   std::vector<PrefetchRequest> pf_queue_;  // reused scratch buffer
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/contract.h"
+#include "common/simd.h"
 #include "common/units.h"
 
 namespace memdis::cachesim {
@@ -12,37 +13,34 @@ StreamPrefetcher::StreamPrefetcher(const PrefetcherConfig& cfg) : cfg_(cfg) {
   expects(cfg.max_degree >= 1, "degree must be >= 1");
   expects(cfg.page_bytes % cfg.line_bytes == 0, "page must hold whole lines");
   expects((cfg.page_bytes & (cfg.page_bytes - 1)) == 0, "page size must be a power of two");
+  expects(cfg.page_bytes > 1, "page must span more than one byte");
   expects((cfg.line_bytes & (cfg.line_bytes - 1)) == 0, "line size must be a power of two");
   page_shift_ = log2_pow2(cfg.page_bytes);
   line_shift_ = log2_pow2(cfg.line_bytes);
+  page_.assign(cfg.num_streams, kUnusedPage);
+  last_tick_.assign(cfg.num_streams, 0);
   streams_.resize(cfg.num_streams);
+  unused_ = cfg.num_streams;
 }
 
-StreamPrefetcher::Stream* StreamPrefetcher::lookup_stream(std::uint64_t page) {
+std::uint32_t StreamPrefetcher::lookup_stream(std::uint64_t page) {
   // Pages are unique across entries, so probing the hinted entry first
-  // changes only the search order, never which entry matches (and the
-  // LRU allocation choice on a true miss is computed by the same full
-  // scan as before).
+  // changes only the search order, never which entry matches.
   const std::uint32_t slot = static_cast<std::uint32_t>(page) & (kHintSlots - 1);
-  Stream& hinted = streams_[hint_[slot]];
-  if (hinted.valid && hinted.page == page) return &hinted;
-  Stream* lru = &streams_[0];
-  for (std::size_t i = 0; i < streams_.size(); ++i) {
-    Stream& s = streams_[i];
-    if (s.valid && s.page == page) {
-      hint_[slot] = static_cast<std::uint32_t>(i);
-      return &s;
-    }
-    if (!s.valid || s.last_tick < lru->last_tick) lru = &s;
+  const std::uint32_t hinted = hint_[slot];
+  if (page_[hinted] == page) return hinted;
+  const auto n = static_cast<std::uint32_t>(page_.size());
+  std::uint32_t i = simd::find_equal_except(page_.data(), n, page, hinted);
+  if (i == n) {
+    // Allocate: never-used entries first, from the top down (the last
+    // unused entry a front-to-back scan meets), then the LRU entry. Every
+    // used entry holds a distinct tick, so the first minimum is the only one.
+    i = unused_ > 0 ? --unused_ : simd::argmin_first(last_tick_.data(), n);
+    page_[i] = page;
+    streams_[i] = Stream{-1, 0, 0};
   }
-  // Allocate: replace the LRU entry with a fresh, untrained stream.
-  lru->page = page;
-  lru->last_line = -1;
-  lru->direction = 0;
-  lru->run_length = 0;
-  lru->valid = true;
-  hint_[slot] = static_cast<std::uint32_t>(lru - streams_.data());
-  return lru;
+  hint_[slot] = i;
+  return i;
 }
 
 void StreamPrefetcher::observe(std::uint64_t addr, bool is_store,
@@ -54,10 +52,11 @@ void StreamPrefetcher::observe(std::uint64_t addr, bool is_store,
       (addr & (cfg_.page_bytes - 1)) >> line_shift_);
   const auto lines_per_page = static_cast<std::int64_t>(cfg_.page_bytes >> line_shift_);
 
-  Stream& s = *lookup_stream(page);
+  const std::uint32_t entry = lookup_stream(page);
+  Stream& s = streams_[entry];
   const bool fresh = s.last_line < 0;
   const std::int64_t step = fresh ? 0 : line_in_page - s.last_line;
-  s.last_tick = tick_;
+  last_tick_[entry] = tick_;
 
   if (fresh || step == 0) {
     s.last_line = line_in_page;
@@ -90,11 +89,6 @@ void StreamPrefetcher::observe(std::uint64_t addr, bool is_store,
 }
 
 void StreamPrefetcher::record_useful() { window_useful_ += 1.0; }
-
-void StreamPrefetcher::record_useless() {
-  // Issued already counted at issue time; useless simply fails to add useful.
-  (void)this;
-}
 
 double StreamPrefetcher::accuracy_estimate() const {
   if (window_issued_ <= 0.0) return 1.0;

@@ -42,10 +42,10 @@ class StreamPrefetcher {
   /// The caller (hierarchy) filters lines already cached and performs fills.
   void observe(std::uint64_t addr, bool is_store, std::vector<PrefetchRequest>& out);
 
-  /// Feedback from the hierarchy: a prefetched line saw its first demand use.
+  /// Feedback from the hierarchy: a prefetched line saw its first demand
+  /// use. (A useless prefetch needs no call: it was counted as issued and
+  /// simply never adds a useful.)
   void record_useful();
-  /// Feedback: a prefetched line was evicted without any demand use.
-  void record_useless();
 
   /// Running accuracy estimate in [0,1] (exponentially aged window).
   [[nodiscard]] double accuracy_estimate() const;
@@ -58,16 +58,19 @@ class StreamPrefetcher {
   [[nodiscard]] const PrefetcherConfig& config() const { return cfg_; }
 
  private:
+  /// Training state of one table entry; its page and LRU tick live in the
+  /// dense planes below, where the lookup and victim scans read them.
   struct Stream {
-    std::uint64_t page = 0;
     std::int64_t last_line = 0;  ///< line index within page
     int direction = 0;           ///< +1, -1, or 0 (untrained)
     std::uint32_t run_length = 0;
-    std::uint64_t last_tick = 0;
-    bool valid = false;
   };
 
-  Stream* lookup_stream(std::uint64_t page);
+  /// Page plane value of an entry that has never held a stream (no page
+  /// number reaches it: pages are addresses shifted right by >= 1 bit).
+  static constexpr std::uint64_t kUnusedPage = ~std::uint64_t{0};
+
+  std::uint32_t lookup_stream(std::uint64_t page);
   void age_window();
 
   PrefetcherConfig cfg_;
@@ -78,7 +81,14 @@ class StreamPrefetcher {
   /// missing; hashing the page low bits keeps each stream's slot warm).
   static constexpr std::uint32_t kHintSlots = 64;
   std::array<std::uint32_t, kHintSlots> hint_{};
+  // Struct-of-arrays stream table: the page and last-touch tick of entry i
+  // are page_[i] and last_tick_[i], scanned by the common/simd.h
+  // primitives; entries are never invalidated, only replaced.
+  std::vector<std::uint64_t> page_;
+  std::vector<std::uint64_t> last_tick_;
   std::vector<Stream> streams_;
+  /// Never-used entries left; they are handed out from the top index down.
+  std::uint32_t unused_ = 0;
   std::uint64_t tick_ = 0;
   // Aged feedback window; starts optimistic so cold-start is not throttled.
   double window_useful_ = 8.0;

@@ -1,7 +1,8 @@
 // SIMD portability shim for the simulator's innermost loop: the
 // set-associative way scan over the dense struct-of-arrays tag/LRU planes
 // (cachesim/cache.h). Two primitives cover every probe the hierarchy
-// performs:
+// performs, including the stream prefetcher's page and tick planes
+// (cachesim/prefetcher.cpp):
 //
 //   find_equal_except  — first way whose 8-byte tag equals the probe tag
 //                        (the hit scan behind find()/contains()),
@@ -14,10 +15,15 @@
 //
 //   ISA     | find_equal_except  | argmin_first
 //   --------+--------------------+------------------------------------
-//   AVX2    | 4 tags / compare   | 4 ticks / compare, two-pass
+//   AVX2    | row mask + ctz     | in-register min, row mask + ctz
 //   SSE2    | 2 tags / compare   | scalar (no 64-bit compare pre-SSE4)
 //   NEON    | 2 tags / compare   | 2 ticks / compare, two-pass (aarch64)
 //   scalar  | way loop           | way loop
+//
+// The AVX2 forms are branch-free on the data (rows of whole 4-lane chunks
+// up to 64 lanes; other lengths take the plain loop): which way matches
+// or loses never steers a branch, so random probes cost what sequential
+// ones do.
 //
 // Every wide path is *observably identical* to the scalar loop it
 // replaces: tags are unique within a set, so "any matching lane" is "the
@@ -114,56 +120,56 @@ inline std::uint32_t argmin_first_scalar(const std::uint64_t* xs, std::uint32_t 
 
 #if defined(MEMDIS_SIMD_AVX2)
 
-/// First index with xs[i] == key, else n. Any-lane match is first-way
-/// match because the caller's tags are unique within the scanned row.
-inline std::uint32_t find_equal_wide(const std::uint64_t* xs, std::uint32_t n,
-                                     std::uint64_t key) {
-  const __m256i k = _mm256_set1_epi64x(static_cast<long long>(key));
-  std::uint32_t i = 0;
-  for (; i + 4 <= n; i += 4) {
+/// Rows the mask-and-ctz forms cover: one or more whole 4-lane chunks, one
+/// mask bit per lane in a 64-bit word. Anything else takes the plain loop.
+inline constexpr std::uint32_t kMaskLanes = 64;
+inline bool mask_row(std::uint32_t n) { return n != 0 && n % 4 == 0 && n <= kMaskLanes; }
+
+/// Bit i set where xs[i] equals the broadcast k, over a mask_row(n) row.
+/// Compares the whole row with no early exit, so the cost does not depend
+/// on where (or whether) the match sits.
+inline std::uint64_t equal_mask(const std::uint64_t* xs, std::uint32_t n, __m256i k) {
+  std::uint64_t mask = 0;
+  for (std::uint32_t i = 0; i < n; i += 4) {
     const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(xs + i));
-    const int m = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(v, k)));
-    if (m != 0) return i + static_cast<std::uint32_t>(__builtin_ctz(static_cast<unsigned>(m)));
+    const auto m = static_cast<unsigned>(
+        _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(v, k))));
+    mask |= static_cast<std::uint64_t>(m) << i;
   }
-  for (; i < n; ++i) {
-    if (xs[i] == key) return i;
-  }
-  return n;
+  return mask;
 }
 
-/// Index of the first minimum. Two passes: a branch-free reduction to the
-/// minimum value (XOR with the sign bit turns unsigned order into the
-/// signed order AVX2's 64-bit compare speaks), then the first lane equal
-/// to it — which is exactly the scalar `<` scan's tie-break to the lowest
-/// index.
+/// First index with xs[i] == key, else n: ctz of the row's equality mask.
+/// Any-lane match is first-way match because the caller's tags are unique
+/// within the scanned row (and ctz is the lowest lane regardless).
+inline std::uint32_t find_equal_wide(const std::uint64_t* xs, std::uint32_t n,
+                                     std::uint64_t key) {
+  if (!mask_row(n)) return find_equal_scalar(xs, n, key, kNoSkip);
+  const std::uint64_t mask = equal_mask(xs, n, _mm256_set1_epi64x(static_cast<long long>(key)));
+  return mask == 0 ? n : static_cast<std::uint32_t>(__builtin_ctzll(mask));
+}
+
+/// Index of the first minimum, reduced in-register: XOR with the sign bit
+/// turns unsigned order into the signed order AVX2's 64-bit compare
+/// speaks; a compare+blend folds the chunks, then two lane swaps
+/// (permute4x64 0x4E, 0xB1) with a blend after each leave the minimum in
+/// every lane. The first set bit of its equality mask is exactly the
+/// scalar `<` scan's tie-break to the lowest index.
 inline std::uint32_t argmin_first_wide(const std::uint64_t* xs, std::uint32_t n) {
-  constexpr std::uint64_t kSignBit = 0x8000000000000000ULL;
-  std::uint64_t min_v;
-  std::uint32_t i;
-  if (n >= 4) {
-    const __m256i bias = _mm256_set1_epi64x(static_cast<long long>(kSignBit));
-    __m256i vmin =
-        _mm256_xor_si256(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(xs)), bias);
-    for (i = 4; i + 4 <= n; i += 4) {
-      const __m256i v =
-          _mm256_xor_si256(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(xs + i)), bias);
-      vmin = _mm256_blendv_epi8(vmin, v, _mm256_cmpgt_epi64(vmin, v));
-    }
-    alignas(32) std::uint64_t lane[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lane), vmin);
-    min_v = lane[0] ^ kSignBit;
-    for (int j = 1; j < 4; ++j) {
-      const std::uint64_t u = lane[j] ^ kSignBit;
-      if (u < min_v) min_v = u;
-    }
-  } else {
-    min_v = xs[0];
-    i = 1;
-  }
-  for (; i < n; ++i) {
-    if (xs[i] < min_v) min_v = xs[i];
-  }
-  return find_equal_wide(xs, n, min_v);
+  if (!mask_row(n)) return argmin_first_scalar(xs, n);
+  const __m256i bias = _mm256_set1_epi64x(static_cast<long long>(0x8000000000000000ULL));
+  const auto biased = [&](std::uint32_t i) {
+    return _mm256_xor_si256(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(xs + i)), bias);
+  };
+  const auto min2 = [](__m256i a, __m256i b) {
+    return _mm256_blendv_epi8(a, b, _mm256_cmpgt_epi64(a, b));
+  };
+  __m256i vmin = biased(0);
+  for (std::uint32_t i = 4; i < n; i += 4) vmin = min2(vmin, biased(i));
+  vmin = min2(vmin, _mm256_permute4x64_epi64(vmin, 0x4E));
+  vmin = min2(vmin, _mm256_permute4x64_epi64(vmin, 0xB1));
+  return static_cast<std::uint32_t>(
+      __builtin_ctzll(equal_mask(xs, n, _mm256_xor_si256(vmin, bias))));
 }
 
 #elif defined(MEMDIS_SIMD_SSE2)
@@ -203,8 +209,10 @@ inline std::uint32_t find_equal_wide(const std::uint64_t* xs, std::uint32_t n,
   return n;
 }
 
-/// Same two-pass shape as the AVX2 reduction; aarch64 NEON compares
-/// unsigned 64-bit lanes directly (vcgtq_u64), so no sign-bias is needed.
+/// Two passes: a vector reduction to the minimum value, then the first lane
+/// equal to it (the scalar `<` scan's lowest-index tie-break). aarch64
+/// NEON compares unsigned 64-bit lanes directly (vcgtq_u64), so no
+/// sign-bias is needed.
 inline std::uint32_t argmin_first_wide(const std::uint64_t* xs, std::uint32_t n) {
   std::uint64_t min_v;
   std::uint32_t i;

@@ -131,8 +131,6 @@ std::string functional_key(const std::string& workload_id,
   append_double(key, p.throttle_low);
   key += ',';
   append_double(key, p.throttle_high);
-  key += "|pebs:";
-  key += std::to_string(h.pebs_period);
   key += prefetch_enabled ? "|prefetch:on" : "|prefetch:off";
   return key;
 }

@@ -362,7 +362,6 @@ class Engine {
   [[nodiscard]] const std::vector<EpochRecord>& epochs() const { return epochs_; }
   [[nodiscard]] const std::vector<PhaseRecord>& phases() const { return phases_; }
   [[nodiscard]] const cachesim::HwCounters& counters() const { return hierarchy_.counters(); }
-  [[nodiscard]] const cachesim::PebsSampler& pebs() const { return hierarchy_.pebs(); }
   /// Sampled accesses-per-page histogram (drives the Fig. 6 curves).
   [[nodiscard]] const std::unordered_map<std::uint64_t, std::uint64_t>&
   page_access_histogram() const {

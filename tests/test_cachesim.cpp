@@ -1,11 +1,14 @@
 // Unit and property tests for the cache hierarchy: set-associative LRU
-// cache, stream prefetcher (training, direction, throttling, page bounds),
-// hardware counters, and PEBS sampling.
+// cache, stream prefetcher (training, direction, throttling, page bounds,
+// and a differential oracle for its stream table), the SIMD way-scan
+// primitives, and hardware counters.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "cachesim/cache.h"
 #include "cachesim/hierarchy.h"
-#include "cachesim/pebs.h"
 #include "cachesim/prefetcher.h"
 #include "common/contract.h"
 #include "common/rng.h"
@@ -164,12 +167,14 @@ INSTANTIATE_TEST_SUITE_P(Ways, CacheGeometryTest, ::testing::Values(1u, 2u, 4u, 
 // ---------- SIMD probe vs forced scalar --------------------------------------
 
 // The shim's wide primitives against their scalar reference loops, over
-// every way-scan length the simulator can see plus awkward remainders
-// (vector width ± 1), with heavy ties and matches. Trivially true in a
-// -DMEMDIS_SIMD=OFF build, where both sides are the same loop.
+// every row length up to the first vector-width multiple past the 64-lane
+// mask (so 64 itself, the >64 plain-loop fallback at 68, and every
+// non-multiple of the vector width),
+// with heavy ties and matches. Trivially true in a -DMEMDIS_SIMD=OFF
+// build, where both sides are the same loop.
 TEST(Simd, PrimitivesMatchScalarReference) {
   Xoshiro256 rng(123);
-  for (std::uint32_t n = 1; n <= 33; ++n) {
+  for (std::uint32_t n = 1; n <= 68; ++n) {
     for (int rep = 0; rep < 200; ++rep) {
       std::vector<std::uint64_t> xs(n);
       for (auto& x : xs) x = rng.uniform_below(8);
@@ -179,6 +184,37 @@ TEST(Simd, PrimitivesMatchScalarReference) {
       EXPECT_EQ(simd::find_equal_except(xs.data(), n, key, skip),
                 simd::find_equal_scalar(xs.data(), n, key, skip));
       EXPECT_EQ(simd::argmin_first(xs.data(), n), simd::argmin_first_scalar(xs.data(), n));
+    }
+  }
+}
+
+// Planted rows: the minimum (and a unique key) at every position, with a
+// duplicate minimum later in the row, over values straddling the sign bit
+// (the AVX2 reduction's bias) — plus rows whose lanes are all equal.
+TEST(Simd, PlantedAndAllEqualRowsMatchScalarReference) {
+  Xoshiro256 rng(321);
+  const std::uint64_t kBases[] = {0, 1, 0x7fffffffffffffffULL, 0x8000000000000000ULL,
+                                  0xfffffffffffffff0ULL};
+  for (std::uint32_t n = 1; n <= 68; ++n) {
+    for (const std::uint64_t base : kBases) {
+      for (std::uint32_t pos = 0; pos < n; ++pos) {
+        std::vector<std::uint64_t> xs(n);
+        for (auto& x : xs) x = base + 1 + rng.uniform_below(8);
+        xs[pos] = base;
+        if (pos + 1 < n) xs[pos + 1 + rng.uniform_below(n - pos - 1)] = base;
+        EXPECT_EQ(simd::argmin_first(xs.data(), n), simd::argmin_first_scalar(xs.data(), n))
+            << "n=" << n << " pos=" << pos;
+        EXPECT_EQ(simd::argmin_first(xs.data(), n), pos);
+        // Unique key at pos: rewrite the duplicate so the key occurs once.
+        for (std::uint32_t i = pos + 1; i < n; ++i)
+          if (xs[i] == base) xs[i] = base + 1;
+        const std::uint32_t skip = (pos + 1) % n == pos ? simd::kNoSkip : (pos + 1) % n;
+        EXPECT_EQ(simd::find_equal_except(xs.data(), n, base, skip), pos);
+        EXPECT_EQ(simd::find_equal_except(xs.data(), n, base - 1, skip), n);
+      }
+      const std::vector<std::uint64_t> flat(n, base);
+      EXPECT_EQ(simd::argmin_first(flat.data(), n), 0u);
+      EXPECT_EQ(simd::find_equal_except(flat.data(), n, base, simd::kNoSkip), 0u);
     }
   }
 }
@@ -335,12 +371,12 @@ TEST(Prefetcher, DisabledIssuesNothing) {
 
 TEST(Prefetcher, ThrottlesOnLowAccuracy) {
   StreamPrefetcher pf(pf_config());
-  // Report many useless prefetches: accuracy collapses, degree drops to 1.
+  // Issue many prefetches that never see a demand use: accuracy
+  // collapses, degree drops to 1.
   std::vector<PrefetchRequest> out;
   for (int i = 0; i < 40; ++i) {
     out.clear();
     pf.observe(static_cast<std::uint64_t>(i % 60) * 64, false, out);
-    for (std::size_t k = 0; k < out.size(); ++k) pf.record_useless();
   }
   EXPECT_LT(pf.accuracy_estimate(), 0.35);
   EXPECT_EQ(pf.effective_degree(), 1u);
@@ -372,6 +408,215 @@ TEST(Prefetcher, StreamTableEvictsLru) {
   pf.observe(10 * 64, false, out);
   EXPECT_TRUE(out.empty());
 }
+
+// The stream table as an array of structs with one front-to-back scan —
+// the prefetcher's former lookup, kept as the reference for the
+// struct-of-arrays table: hit on the hinted entry or the first matching
+// valid entry; otherwise replace the last invalid entry, else the first
+// least-recently-touched one. The rest of observe() is copied unchanged.
+class ReferencePrefetcher {
+ public:
+  explicit ReferencePrefetcher(const PrefetcherConfig& cfg)
+      : cfg_(cfg), streams_(cfg.num_streams) {}
+
+  void observe(std::uint64_t addr, bool is_store, std::vector<PrefetchRequest>& out) {
+    ++tick_;
+    const std::uint64_t page = addr / cfg_.page_bytes;
+    const auto line_in_page =
+        static_cast<std::int64_t>((addr % cfg_.page_bytes) / cfg_.line_bytes);
+    const auto lines_per_page = static_cast<std::int64_t>(cfg_.page_bytes / cfg_.line_bytes);
+    Stream& s = lookup_stream(page);
+    const bool fresh = s.last_line < 0;
+    const std::int64_t step = fresh ? 0 : line_in_page - s.last_line;
+    s.last_tick = tick_;
+    if (fresh || step == 0) {
+      s.last_line = line_in_page;
+      return;
+    }
+    if ((step == 1 && s.direction >= 0) || (step == -1 && s.direction <= 0)) {
+      s.direction = step > 0 ? 1 : -1;
+      s.run_length = std::min<std::uint32_t>(s.run_length + 1, 64);
+    } else {
+      s.direction = 0;
+      s.run_length = 0;
+    }
+    s.last_line = line_in_page;
+    if (s.run_length < cfg_.train_threshold || s.direction == 0) return;
+    const std::uint32_t confidence_degree =
+        std::min<std::uint32_t>(s.run_length - cfg_.train_threshold + 1, cfg_.max_degree);
+    const std::uint32_t degree = std::min(confidence_degree, effective_degree());
+    for (std::uint32_t k = 1; k <= degree; ++k) {
+      const std::int64_t target = line_in_page + s.direction * static_cast<std::int64_t>(k);
+      if (target < 0 || target >= lines_per_page) break;
+      out.push_back(PrefetchRequest{
+          page * cfg_.page_bytes + static_cast<std::uint64_t>(target) * cfg_.line_bytes,
+          is_store});
+      window_issued_ += 1.0;
+    }
+    if (window_issued_ > 4096.0) {
+      window_issued_ *= 0.5;
+      window_useful_ *= 0.5;
+    }
+  }
+
+  void record_useful() { window_useful_ += 1.0; }
+
+  [[nodiscard]] std::uint32_t effective_degree() const {
+    const double acc =
+        window_issued_ <= 0.0 ? 1.0 : std::min(window_useful_ / window_issued_, 1.0);
+    if (acc >= cfg_.throttle_high) return cfg_.max_degree;
+    if (acc >= cfg_.throttle_low) return std::max<std::uint32_t>(cfg_.max_degree / 2, 1);
+    return 1;
+  }
+
+ private:
+  struct Stream {
+    std::uint64_t page = 0;
+    std::int64_t last_line = 0;
+    int direction = 0;
+    std::uint32_t run_length = 0;
+    std::uint64_t last_tick = 0;
+    bool valid = false;
+  };
+
+  Stream& lookup_stream(std::uint64_t page) {
+    const std::uint64_t slot = page & 63;
+    Stream& hinted = streams_[hint_[slot]];
+    if (hinted.valid && hinted.page == page) return hinted;
+    Stream* lru = &streams_[0];
+    for (std::size_t i = 0; i < streams_.size(); ++i) {
+      Stream& s = streams_[i];
+      if (s.valid && s.page == page) {
+        hint_[slot] = i;
+        return s;
+      }
+      if (!s.valid || s.last_tick < lru->last_tick) lru = &s;
+    }
+    *lru = Stream{page, -1, 0, 0, 0, true};
+    hint_[slot] = static_cast<std::size_t>(lru - streams_.data());
+    return *lru;
+  }
+
+  PrefetcherConfig cfg_;
+  std::vector<Stream> streams_;
+  std::size_t hint_[64] = {};
+  std::uint64_t tick_ = 0;
+  double window_useful_ = 8.0;
+  double window_issued_ = 10.0;
+};
+
+// Differential property: the struct-of-arrays stream table emits exactly
+// the reference's requests (address and RFO flag) and degree after every
+// observe, on seeded streams that exercise the page lookup, the unused-
+// entry countdown and the LRU victim scan — with the wide scans and with
+// the forced-scalar loops. Table sizes cover the vector rows (4, 16) and
+// the plain-loop lengths (1, 3, 17).
+class PrefetcherOracleTest : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(PrefetcherOracleTest, StreamTableMatchesReferenceScan) {
+  PrefetcherConfig cfg;
+  cfg.num_streams = GetParam();
+  const std::uint64_t page_size = cfg.page_bytes;
+  const std::uint64_t lines = page_size / cfg.line_bytes;
+
+  // One seeded run: `next(rng)` yields (address, is_store); both
+  // prefetchers observe it, and demand uses are credited to both alike.
+  // `next` is taken by value, so a stateful generator starts fresh.
+  // Counts the requests emitted into `emitted`.
+  std::size_t emitted = 0;
+  const auto check = [&](std::uint64_t seed, int steps, auto next) {
+    StreamPrefetcher pf(cfg);
+    ReferencePrefetcher ref(cfg);
+    Xoshiro256 rng(seed);
+    std::vector<PrefetchRequest> got;
+    std::vector<PrefetchRequest> want;
+    for (int i = 0; i < steps; ++i) {
+      const auto [addr, store] = next(rng);
+      got.clear();
+      want.clear();
+      pf.observe(addr, store, got);
+      ref.observe(addr, store, want);
+      ASSERT_EQ(got.size(), want.size()) << "seed " << seed << " step " << i;
+      for (std::size_t k = 0; k < got.size(); ++k) {
+        ASSERT_EQ(got[k].line_addr, want[k].line_addr) << "seed " << seed << " step " << i;
+        ASSERT_EQ(got[k].rfo, want[k].rfo) << "seed " << seed << " step " << i;
+      }
+      ASSERT_EQ(pf.effective_degree(), ref.effective_degree()) << "seed " << seed << " step " << i;
+      emitted += got.size();
+      if (!got.empty() && rng.uniform_below(3) == 0) {
+        pf.record_useful();
+        ref.record_useful();
+      }
+    }
+  };
+
+  // Uniform random lines over a few more pages than the table holds.
+  const std::uint64_t pages = 2 * cfg.num_streams + 3;
+  const auto uniform = [&](Xoshiro256& rng) {
+    return std::pair{rng.uniform_below(pages * page_size), rng.uniform_below(4) == 0};
+  };
+
+  // More interleaved ascending and descending streams than table entries,
+  // drawing pages from a small pool so streams revisit pages (LRU thrash),
+  // with the odd repeat, jump or direction break.
+  struct Walker {
+    std::uint64_t page = 0;
+    std::int64_t line = 0;
+    int dir = 1;
+  };
+  const std::uint64_t pool = cfg.num_streams + 5;
+  const auto interleaved = [&, walkers = std::vector<Walker>{}](Xoshiro256& rng) mutable {
+    if (walkers.empty()) {  // first call of a run: place the walkers
+      walkers.resize(cfg.num_streams + 3);
+      for (auto& w : walkers) {
+        w.page = rng.uniform_below(pool);
+        w.line = static_cast<std::int64_t>(rng.uniform_below(lines));
+        w.dir = rng.uniform_below(2) == 0 ? 1 : -1;
+      }
+    }
+    Walker& w = walkers[rng.uniform_below(walkers.size())];
+    switch (rng.uniform_below(16)) {
+      case 0:  // repeat the line
+        break;
+      case 1:  // direction break
+        w.dir = -w.dir;
+        w.line += w.dir;
+        break;
+      case 2:  // jump within the page
+        w.line = static_cast<std::int64_t>(rng.uniform_below(lines));
+        break;
+      default:
+        w.line += w.dir;
+        break;
+    }
+    if (w.line < 0 || w.line >= static_cast<std::int64_t>(lines)) {
+      w.page = rng.uniform_below(pool);  // next page of the stream
+      w.line = w.dir > 0 ? 0 : static_cast<std::int64_t>(lines) - 1;
+    }
+    // Descending walkers store, so both RFO flags reach the requests.
+    return std::pair{w.page * page_size + static_cast<std::uint64_t>(w.line) * cfg.line_bytes,
+                     w.dir < 0};
+  };
+
+  const auto runs = [&] {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      check(seed, 20000, uniform);
+      emitted = 0;
+      check(100 + seed, 20000, interleaved);
+      EXPECT_GT(emitted, 500u);  // the streams do train
+    }
+    // Cold starts: fresh tables that just fill (and first replace) entries.
+    for (std::uint64_t seed = 200; seed < 264; ++seed) {
+      check(seed, static_cast<int>(cfg.num_streams) + 3, uniform);
+      check(seed + 1000, static_cast<int>(cfg.num_streams) * 4, interleaved);
+    }
+  };
+  runs();
+  ScopedScalarProbe forced;
+  runs();
+}
+
+INSTANTIATE_TEST_SUITE_P(Streams, PrefetcherOracleTest, ::testing::Values(1u, 3u, 4u, 16u, 17u));
 
 // ---------- CacheHierarchy -------------------------------------------------------
 
@@ -508,36 +753,6 @@ TEST(Hierarchy, CountersDeltaSince) {
   EXPECT_EQ(d.loads, 1u);
   EXPECT_EQ(d.stores, 1u);
   EXPECT_EQ(d.l1_hits, 1u);
-}
-
-// ---------- PEBS -------------------------------------------------------------------
-
-TEST(Pebs, RecordsEveryEventAtPeriodOne) {
-  PebsSampler pebs(1);
-  pebs.sample(0, kNodeTier);
-  pebs.sample(4096, 1);
-  pebs.sample(4100, 1);
-  EXPECT_EQ(pebs.total_samples(), 3u);
-  EXPECT_EQ(pebs.samples(1), 2u);
-  EXPECT_EQ(pebs.page_counts().at(1), 2u);
-}
-
-TEST(Pebs, PeriodSubsamples) {
-  PebsSampler pebs(4);
-  for (int i = 0; i < 16; ++i) pebs.sample(static_cast<std::uint64_t>(i) * 64, kNodeTier);
-  EXPECT_EQ(pebs.total_samples(), 4u);
-}
-
-TEST(Pebs, ResetClearsState) {
-  PebsSampler pebs(1);
-  pebs.sample(0, kNodeTier);
-  pebs.reset();
-  EXPECT_EQ(pebs.total_samples(), 0u);
-  EXPECT_TRUE(pebs.page_counts().empty());
-}
-
-TEST(Pebs, ZeroPeriodViolatesContract) {
-  EXPECT_THROW(PebsSampler(0), contract_violation);
 }
 
 }  // namespace
