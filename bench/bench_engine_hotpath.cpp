@@ -8,11 +8,9 @@
 // Before timing anything, the bench proves the fast path exact: each
 // pattern runs once on the batched fast path and once through the
 // element-wise reference decomposition (EngineConfig::bulk_fast_path =
-// false) on fresh engines, and once more with the SIMD probe kill switch
-// forcing the scalar way scans — every hardware counter, the epoch count,
-// and the simulated time must match bit-for-bit across all three. A
-// mismatch fails the run (exit 1) and trips the nightly
-// `counters_identical` exact gate.
+// false) on fresh engines — every hardware counter, the epoch count, and
+// the simulated time must match bit-for-bit. A mismatch fails the run
+// (exit 1) and trips the nightly `counters_identical` exact gate.
 //
 // Usage: bench_engine_hotpath [--json PATH] [--quick]
 //   --quick runs the exactness gate on the small working set and skips the
@@ -138,9 +136,8 @@ int main(int argc, char** argv) {
   memdis::bench::banner("Engine hot path",
                         "bulk access-stream throughput (sequential / strided / random)");
 
-  // ---- exactness gate: fast path vs element-wise vs forced-scalar probe -----
+  // ---- exactness gate: fast path vs element-wise reference -------------------
   bool identical = true;
-  bool scalar_identical = true;
   {
     const auto seq = [&](bool fp) {
       return digest_run(kCheckElems, fp, [](Engine& e, const memdis::memsim::VRange& r) {
@@ -166,23 +163,10 @@ int main(int argc, char** argv) {
         strided_body(e, r, kCheckElems);
       });
     };
-    const StateDigest seq_fast = seq(true);
-    const StateDigest str_fast = str(true);
-    identical = digests_equal(seq_fast, seq(false)) && digests_equal(str_fast, str(false));
-    // Same runs with the scalar way scans: the vectorized probe must be
-    // invisible in every counter.
-    {
-      const bool saved = memdis::simd_enabled();
-      memdis::set_simd_enabled(false);
-      scalar_identical = digests_equal(seq_fast, seq(true)) && digests_equal(str_fast, str(true));
-      memdis::set_simd_enabled(saved);
-    }
-    identical = identical && scalar_identical;
+    identical = digests_equal(seq(true), seq(false)) && digests_equal(str(true), str(false));
   }
-  std::cout << "fast path vs element-wise reference: "
-            << (identical ? "bit-identical" : "MISMATCH") << "\n";
-  std::cout << "SIMD probe (" << memdis::simd::kIsaName << ") vs forced scalar: "
-            << (scalar_identical ? "bit-identical" : "MISMATCH") << "\n\n";
+  std::cout << "fast path vs element-wise reference (" << memdis::simd::kIsaName
+            << " probe): " << (identical ? "bit-identical" : "MISMATCH") << "\n\n";
 
   if (quick) {
     std::cout << "--quick: exactness gate only, timed sweeps skipped\n";

@@ -24,39 +24,15 @@ SetAssocCache::SetAssocCache(const CacheConfig& cfg) : cfg_(cfg), sets_(0) {
 }
 
 std::optional<Eviction> SetAssocCache::fill(std::uint64_t addr, bool dirty, bool prefetched) {
-  const std::uint64_t aligned = line_align(addr);
-  const std::uint64_t set = set_of(addr);
-  const std::size_t base = set * cfg_.ways;
-  std::size_t victim = kNpos;
-  std::uint32_t victim_way = 0;
-  for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-    const std::size_t i = base + w;
-    const std::uint64_t t = tag_[i];
-    if (t == aligned) {
-      // Refill of a present line (e.g. prefetch racing demand): refresh only.
-      lru_[i] = ++tick_;
-      if (dirty) flags_[i] |= kDirty;
-      mru_way_[set] = w;
-      return std::nullopt;
-    }
-    if (t == kInvalidTag) {
-      victim = i;
-      victim_way = w;
-      break;
-    }
-    if (victim == kNpos || lru_[i] < lru_[victim]) {
-      victim = i;
-      victim_way = w;
-    }
+  // Refill of a present line (e.g. prefetch racing demand): refresh only.
+  // The presence check scans every way before any victim is chosen, so a
+  // hole left by invalidate() in front of the line cannot duplicate it.
+  if (const std::size_t idx = find(addr); idx != kNpos) {
+    lru_[idx] = ++tick_;
+    if (dirty) flags_[idx] |= kDirty;
+    return std::nullopt;
   }
-  std::optional<Eviction> evicted;
-  if (tag_[victim] != kInvalidTag) evicted = eviction_of(victim);
-  tag_[victim] = aligned;
-  flags_[victim] = (dirty ? kDirty : 0) | (prefetched ? kPrefetched : 0) |
-                   (prefetched ? 0 : kReferenced);  // demand fills start referenced
-  lru_[victim] = ++tick_;
-  mru_way_[set] = victim_way;
-  return evicted;
+  return fill_absent(addr, dirty, prefetched);
 }
 
 std::optional<Eviction> SetAssocCache::fill_absent(std::uint64_t addr, bool dirty,
@@ -67,12 +43,12 @@ std::optional<Eviction> SetAssocCache::fill_absent(std::uint64_t addr, bool dirt
 #ifndef NDEBUG
   expects(!contains(addr), "fill_absent of a resident line");
 #endif
-  // Victim selection identical to fill(): first invalid way wins, else the
-  // first LRU minimum in way order. Invalid ways keep lru == 0 (valid
-  // lines carry ticks >= 1 — the class invariant), so both rules collapse
-  // into one pure argmin over the dense LRU plane: the first zero IS the
-  // first invalid way. No tag reads, no early-exit branch — and first-min
-  // tie-breaking holds on both the wide and scalar argmin paths.
+  // Victim selection: first invalid way wins, else the first LRU minimum
+  // in way order. Invalid ways keep lru == 0 (valid lines carry ticks >= 1
+  // — the class invariant), so both rules collapse into one pure argmin
+  // over the dense LRU plane: the first zero IS the first invalid way. No
+  // tag reads, no early-exit branch — and first-min tie-breaking holds on
+  // both the wide and scalar argmin paths.
   const std::uint32_t victim_way = simd::argmin_first(&lru_[base], cfg_.ways);
   const std::size_t victim = base + victim_way;
   std::optional<Eviction> evicted;

@@ -16,8 +16,8 @@
 //    search-order optimization (tags are unique within a set, so the same
 //    line is found whichever way finds it),
 //  * the way scan and the victim argmin issue as wide compares over the
-//    dense planes (common/simd.h — AVX2/SSE2/NEON with a scalar fallback
-//    and the memdis::set_simd_enabled() kill switch; see docs/HOTPATH.md),
+//    dense planes (common/simd.h — AVX2/SSE2/NEON chosen at compile time,
+//    the scalar loops in a -DMEMDIS_SIMD=OFF build; see docs/HOTPATH.md),
 //  * the hot entry points are header-inline.
 #pragma once
 
@@ -107,6 +107,7 @@ class SetAssocCache {
 
   /// Inserts the line containing `addr`; returns the eviction if a valid
   /// line had to be displaced. `prefetched` marks hardware-prefetch fills.
+  /// A line already present is only refreshed (LRU, dirty bit).
   std::optional<Eviction> fill(std::uint64_t addr, bool dirty, bool prefetched);
 
   /// fill() for a line the caller knows is absent (every hierarchy fill

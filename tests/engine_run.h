@@ -20,6 +20,16 @@
 #include "sim/engine.h"
 #include "workloads/workload.h"
 
+/// Defined in AddressSanitizer builds, where the whole-application double
+/// runs overshoot the ctest timeouts and skip.
+#if defined(__SANITIZE_ADDRESS__)
+#define MEMDIS_UNDER_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define MEMDIS_UNDER_ASAN 1
+#endif
+#endif
+
 namespace memdis::test {
 
 /// Everything observable about one finished engine run.

@@ -1,10 +1,12 @@
 // Unit and property tests for the cache hierarchy: set-associative LRU
-// cache, stream prefetcher (training, direction, throttling, page bounds,
-// and a differential oracle for its stream table), the SIMD way-scan
+// cache (with a way-loop reference cache as its differential oracle),
+// stream prefetcher (training, direction, throttling, page bounds, and a
+// differential oracle for its stream table), the SIMD way-scan
 // primitives, and hardware counters.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "cachesim/cache.h"
@@ -164,7 +166,7 @@ TEST_P(CacheGeometryTest, SetNeverExceedsWays) {
 
 INSTANTIATE_TEST_SUITE_P(Ways, CacheGeometryTest, ::testing::Values(1u, 2u, 4u, 8u, 16u));
 
-// ---------- SIMD probe vs forced scalar --------------------------------------
+// ---------- SIMD primitives vs the scalar reference loops --------------------
 
 // The shim's wide primitives against their scalar reference loops, over
 // every row length up to the first vector-width multiple past the 64-lane
@@ -219,81 +221,188 @@ TEST(Simd, PlantedAndAllEqualRowsMatchScalarReference) {
   }
 }
 
-/// Forces the scalar probe loops for one replay of the op stream.
-class ScopedScalarProbe {
+/// SetAssocCache as plain way loops: a lookup scans the ways in order and
+/// a fill evicts the first invalid way, else the first LRU minimum. No MRU
+/// hint and no SIMD primitive. Its planes use SetAssocCache::Snapshot's
+/// encoding (tag ~0 and LRU tick 0 mark an invalid way; invalidation
+/// leaves the flags), so the two caches' snapshots compare directly.
+class ReferenceCache {
  public:
-  ScopedScalarProbe() : saved_(simd_enabled()) { set_simd_enabled(false); }
-  ~ScopedScalarProbe() { set_simd_enabled(saved_); }
+  explicit ReferenceCache(const CacheConfig& cfg)
+      : ways_(cfg.ways),
+        line_bytes_(cfg.line_bytes),
+        sets_(cfg.num_sets()),
+        tag_(sets_ * ways_, kInvalid),
+        lru_(sets_ * ways_, 0),
+        flags_(sets_ * ways_, 0) {}
+
+  SetAssocCache::HitInfo access(std::uint64_t addr, bool is_store) {
+    const std::size_t i = find(addr);
+    if (i == kNpos) return {};
+    SetAssocCache::HitInfo info;
+    info.hit = true;
+    info.first_use_of_prefetch = (flags_[i] & kPrefetched) != 0 && (flags_[i] & kReferenced) == 0;
+    flags_[i] |= kReferenced | (is_store ? kDirty : 0);
+    lru_[i] = ++tick_;
+    return info;
+  }
+
+  [[nodiscard]] bool contains(std::uint64_t addr) const { return find(addr) != kNpos; }
+
+  std::optional<Eviction> fill(std::uint64_t addr, bool dirty, bool prefetched) {
+    if (const std::size_t i = find(addr); i != kNpos) {
+      lru_[i] = ++tick_;
+      if (dirty) flags_[i] |= kDirty;
+      return std::nullopt;
+    }
+    const std::size_t base = set_base(addr);
+    std::size_t victim = base;
+    for (std::size_t i = base; i < base + ways_; ++i) {
+      if (tag_[i] == kInvalid) {
+        victim = i;
+        break;
+      }
+      if (lru_[i] < lru_[victim]) victim = i;
+    }
+    std::optional<Eviction> evicted;
+    if (tag_[victim] != kInvalid) evicted = eviction_of(victim);
+    tag_[victim] = addr & ~(line_bytes_ - 1);
+    flags_[victim] = static_cast<std::uint8_t>((dirty ? kDirty : 0) |
+                                               (prefetched ? kPrefetched : kReferenced));
+    lru_[victim] = ++tick_;
+    return evicted;
+  }
+
+  std::optional<Eviction> invalidate(std::uint64_t addr) {
+    const std::size_t i = find(addr);
+    if (i == kNpos) return std::nullopt;
+    const Eviction ev = eviction_of(i);
+    tag_[i] = kInvalid;
+    lru_[i] = 0;
+    return ev;
+  }
+
+  template <typename Sink>
+  void drain(Sink&& sink) {
+    for (std::size_t i = 0; i < tag_.size(); ++i) {
+      if (tag_[i] == kInvalid) continue;
+      sink(eviction_of(i));
+      tag_[i] = kInvalid;
+      lru_[i] = 0;
+    }
+  }
+
+  [[nodiscard]] SetAssocCache::Snapshot snapshot() const { return {tick_, tag_, lru_, flags_}; }
 
  private:
-  bool saved_;
+  static constexpr std::uint64_t kInvalid = ~0ULL;
+  static constexpr std::size_t kNpos = ~std::size_t{0};
+  static constexpr std::uint8_t kDirty = 1;
+  static constexpr std::uint8_t kPrefetched = 2;
+  static constexpr std::uint8_t kReferenced = 4;
+
+  [[nodiscard]] std::size_t set_base(std::uint64_t addr) const {
+    return (addr / line_bytes_ % sets_) * ways_;
+  }
+  [[nodiscard]] std::size_t find(std::uint64_t addr) const {
+    const std::uint64_t line = addr & ~(line_bytes_ - 1);
+    const std::size_t base = set_base(addr);
+    for (std::size_t i = base; i < base + ways_; ++i)
+      if (tag_[i] == line) return i;
+    return kNpos;
+  }
+  [[nodiscard]] Eviction eviction_of(std::size_t i) const {
+    return {tag_[i], (flags_[i] & kDirty) != 0,
+            (flags_[i] & kPrefetched) != 0 && (flags_[i] & kReferenced) == 0};
+  }
+
+  std::size_t ways_;
+  std::uint64_t line_bytes_;
+  std::uint64_t sets_;
+  std::uint64_t tick_ = 0;
+  std::vector<std::uint64_t> tag_;
+  std::vector<std::uint64_t> lru_;
+  std::vector<std::uint8_t> flags_;
 };
 
-// Differential property: a seeded access/fill/invalidate/drain stream
-// leaves a SIMD-probed cache and a forced-scalar cache in byte-identical
-// state (digest) having emitted the identical eviction sequence. Covers
-// geometries whose way count is not a vector-width multiple (12) and the
-// remainder-only case (4 on a 2-wide ISA is exact; on AVX2 it is all tail).
+bool same_eviction(const std::optional<Eviction>& a, const std::optional<Eviction>& b) {
+  if (a.has_value() != b.has_value()) return false;
+  return !a || (a->line_addr == b->line_addr && a->dirty == b->dirty &&
+                a->prefetched_unused == b->prefetched_unused);
+}
+
+// Differential property: on a seeded access/fill/invalidate/drain stream,
+// SetAssocCache reports the reference's hit, prefetch first use and
+// eviction after every op and ends in the same snapshot planes. The way
+// scan and victim argmin run on the build's ISA — wide by default, the
+// scalar loops in a -DMEMDIS_SIMD=OFF build — against the same oracle.
+// Way counts cover a non-power-of-two row (12) and the one-chunk row (4).
 class CacheDifferentialTest : public ::testing::TestWithParam<std::uint32_t> {};
 
-TEST_P(CacheDifferentialTest, SimdMatchesForcedScalarOnSeededStreams) {
+TEST_P(CacheDifferentialTest, MatchesReferenceCacheOnSeededStreams) {
   const std::uint32_t ways = GetParam();
   const CacheConfig cfg{static_cast<std::uint64_t>(64) * 16 * ways, ways, 64};
-  struct Outcome {
-    std::uint64_t digest = 0;
-    std::uint64_t hits = 0;
-    std::vector<std::uint64_t> evictions;  // line_addr | dirty | unused, in order
-  };
-  const auto replay = [&](bool wide) {
-    Outcome out;
-    SetAssocCache c(cfg);
-    Xoshiro256 rng(0x5eed0000u + ways);
-    const auto record = [&out](const Eviction& ev) {
-      out.evictions.push_back(ev.line_addr << 2 | (ev.dirty ? 2u : 0u) |
-                              (ev.prefetched_unused ? 1u : 0u));
-    };
-    const std::uint64_t span = cfg.size_bytes * 4;  // 4x capacity → constant conflict
-    const auto body = [&] {
-      for (int i = 0; i < 20000; ++i) {
-        const std::uint64_t addr = rng.uniform_below(span);
-        const bool store = rng.uniform_below(2) != 0;
-        switch (rng.uniform_below(8)) {
-          case 0:
-          case 1:
-          case 2:
-            if (c.access(addr, store).hit) ++out.hits;
-            break;
-          case 3:
-          case 4:
-            if (const auto ev = c.fill(addr, store, rng.uniform_below(4) == 0)) record(*ev);
-            break;
-          case 5:
-            if (!c.contains(addr))
-              if (const auto ev = c.fill_absent(addr, store, false)) record(*ev);
-            break;
-          case 6:
-            if (const auto ev = c.invalidate(addr)) record(*ev);
-            break;
-          default:
-            if (rng.uniform_below(64) == 0) c.drain(record);
-            break;
-        }
+  SetAssocCache c(cfg);
+  ReferenceCache ref(cfg);
+  Xoshiro256 rng(0x5eed0000u + ways);
+  std::vector<Eviction> drained, ref_drained;
+  std::uint64_t hits = 0, evictions = 0;
+  const std::uint64_t span = cfg.size_bytes * 4;  // 4x capacity → constant conflict
+  for (int i = 0; i < 20000; ++i) {
+    SCOPED_TRACE(testing::Message() << "op " << i);
+    const std::uint64_t addr = rng.uniform_below(span);
+    const bool store = rng.uniform_below(2) != 0;
+    switch (rng.uniform_below(8)) {
+      case 0:
+      case 1:
+      case 2: {
+        const auto got = c.access(addr, store);
+        const auto want = ref.access(addr, store);
+        ASSERT_EQ(got.hit, want.hit);
+        ASSERT_EQ(got.first_use_of_prefetch, want.first_use_of_prefetch);
+        hits += got.hit ? 1 : 0;
+        break;
       }
-    };
-    if (wide) {
-      body();
-    } else {
-      ScopedScalarProbe forced;
-      body();
+      case 3:
+      case 4: {
+        const bool prefetched = rng.uniform_below(4) == 0;
+        const auto got = c.fill(addr, store, prefetched);
+        ASSERT_TRUE(same_eviction(got, ref.fill(addr, store, prefetched)));
+        evictions += got ? 1 : 0;
+        break;
+      }
+      case 5: {
+        const bool present = c.contains(addr);
+        ASSERT_EQ(present, ref.contains(addr));
+        if (!present) {
+          const auto got = c.fill_absent(addr, store, false);
+          ASSERT_TRUE(same_eviction(got, ref.fill(addr, store, false)));
+          evictions += got ? 1 : 0;
+        }
+        break;
+      }
+      case 6:
+        ASSERT_TRUE(same_eviction(c.invalidate(addr), ref.invalidate(addr)));
+        break;
+      default:
+        if (rng.uniform_below(64) == 0) {
+          c.drain([&](const Eviction& ev) { drained.push_back(ev); });
+          ref.drain([&](const Eviction& ev) { ref_drained.push_back(ev); });
+          ASSERT_EQ(drained.size(), ref_drained.size());
+          for (std::size_t k = 0; k < drained.size(); ++k)
+            ASSERT_TRUE(same_eviction(drained[k], ref_drained[k])) << "drained line " << k;
+        }
+        break;
     }
-    out.digest = c.digest();
-    return out;
-  };
-  const Outcome wide = replay(true);
-  const Outcome scalar = replay(false);
-  EXPECT_EQ(wide.digest, scalar.digest);
-  EXPECT_EQ(wide.hits, scalar.hits);
-  EXPECT_EQ(wide.evictions, scalar.evictions);
+  }
+  EXPECT_GT(hits, 500u);  // the stream both hits and conflicts
+  EXPECT_GT(evictions, 1000u);
+  const auto got = c.snapshot();
+  const auto want = ref.snapshot();
+  EXPECT_EQ(got.tick, want.tick);
+  EXPECT_EQ(got.tag, want.tag);
+  EXPECT_EQ(got.lru, want.lru);
+  EXPECT_EQ(got.flags, want.flags);
 }
 
 INSTANTIATE_TEST_SUITE_P(Ways, CacheDifferentialTest, ::testing::Values(4u, 8u, 12u, 16u));
@@ -508,9 +617,9 @@ class ReferencePrefetcher {
 // Differential property: the struct-of-arrays stream table emits exactly
 // the reference's requests (address and RFO flag) and degree after every
 // observe, on seeded streams that exercise the page lookup, the unused-
-// entry countdown and the LRU victim scan — with the wide scans and with
-// the forced-scalar loops. Table sizes cover the vector rows (4, 16) and
-// the plain-loop lengths (1, 3, 17).
+// entry countdown and the LRU victim scan — on the build's ISA, so wide in
+// the default build and scalar in a -DMEMDIS_SIMD=OFF build. Table sizes
+// cover the vector rows (4, 16) and the plain-loop lengths (1, 3, 17).
 class PrefetcherOracleTest : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(PrefetcherOracleTest, StreamTableMatchesReferenceScan) {
@@ -598,22 +707,17 @@ TEST_P(PrefetcherOracleTest, StreamTableMatchesReferenceScan) {
                      w.dir < 0};
   };
 
-  const auto runs = [&] {
-    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-      check(seed, 20000, uniform);
-      emitted = 0;
-      check(100 + seed, 20000, interleaved);
-      EXPECT_GT(emitted, 500u);  // the streams do train
-    }
-    // Cold starts: fresh tables that just fill (and first replace) entries.
-    for (std::uint64_t seed = 200; seed < 264; ++seed) {
-      check(seed, static_cast<int>(cfg.num_streams) + 3, uniform);
-      check(seed + 1000, static_cast<int>(cfg.num_streams) * 4, interleaved);
-    }
-  };
-  runs();
-  ScopedScalarProbe forced;
-  runs();
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    check(seed, 20000, uniform);
+    emitted = 0;
+    check(100 + seed, 20000, interleaved);
+    EXPECT_GT(emitted, 500u);  // the streams do train
+  }
+  // Cold starts: fresh tables that just fill (and first replace) entries.
+  for (std::uint64_t seed = 200; seed < 264; ++seed) {
+    check(seed, static_cast<int>(cfg.num_streams) + 3, uniform);
+    check(seed + 1000, static_cast<int>(cfg.num_streams) * 4, interleaved);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Streams, PrefetcherOracleTest, ::testing::Values(1u, 3u, 4u, 16u, 17u));

@@ -11,7 +11,6 @@
 #include <tuple>
 #include <utility>
 
-#include "common/simd.h"
 #include "core/migration.h"
 #include "core/scenario_registry.h"
 #include "core/sweep.h"
@@ -94,16 +93,9 @@ TEST(Determinism, TransientLoiParallelMatchesSerial) {
 // least as strict as byte-comparing the scenario artifacts.
 //
 // Under sanitizers these double runs overshoot the ctest scenario
-// timeout, so they skip there: the sanitized lane still covers the fast
-// path through the unit suite (BulkApi) and the other scenario tests.
-
-#if defined(__SANITIZE_ADDRESS__)
-#define MEMDIS_UNDER_ASAN 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define MEMDIS_UNDER_ASAN 1
-#endif
-#endif
+// timeout, so they skip there (MEMDIS_UNDER_ASAN, tests/engine_run.h):
+// the sanitized lane still covers the fast path through the unit suite
+// (BulkApi) and the other scenario tests.
 
 /// fig06's grid (every app at scales 1/2/4), each point run the way its
 /// level-1 profile runs it: one workload instance, prefetch on then off.
@@ -185,63 +177,12 @@ TEST(Determinism, PlannerUnderWaveBulkPathMatchesElementWise) {
   }
 }
 
-// ---- SIMD probe vs forced scalar --------------------------------------------
-// The correctness gate for the vectorized way scan (common/simd.h): a whole
-// scenario run with the wide tag-compare/argmin probes must produce
-// byte-identical artifacts to the same scenario with the runtime kill
-// switch forcing the scalar loops. In a -DMEMDIS_SIMD=OFF build both runs
-// take the scalar path and the test degenerates to the reproducibility
-// check.
-
-/// Scoped override of the probe kill switch: everything run inside the
-/// scope uses the scalar way loops.
-class ScopedScalarProbe {
- public:
-  ScopedScalarProbe() : saved_(simd_enabled()) { set_simd_enabled(false); }
-  ~ScopedScalarProbe() { set_simd_enabled(saved_); }
-  ScopedScalarProbe(const ScopedScalarProbe&) = delete;
-  ScopedScalarProbe& operator=(const ScopedScalarProbe&) = delete;
-
- private:
-  bool saved_;
-};
-
-TEST(Determinism, Fig06SimdProbeMatchesForcedScalar) {
-#ifdef MEMDIS_UNDER_ASAN
-  GTEST_SKIP() << "double fig06 run exceeds the sanitized scenario timeout";
-#endif
-  const Artifacts wide = artifacts_of("fig06", 1);
-  Artifacts scalar;
-  {
-    ScopedScalarProbe forced;
-    scalar = artifacts_of("fig06", 1);
-  }
-  EXPECT_EQ(wide.csv, scalar.csv);
-  EXPECT_EQ(wide.json, scalar.json);
-  EXPECT_FALSE(wide.csv.empty());
-}
-
-// ---- queue model vs LoI closed form -----------------------------------------
-// The compat half of `--link-model`: scenarios without bulk traffic carry
-// zero cross-class rates, so running them under the queue model must
-// reproduce the closed-form artifacts byte for byte (fig06 covers all six
-// workloads with no migration runtime attached).
-
-TEST(Determinism, Fig06QueueModelMatchesLoiModel) {
-#ifdef MEMDIS_UNDER_ASAN
-  GTEST_SKIP() << "double fig06 run exceeds the sanitized scenario timeout";
-#endif
-  const Artifacts loi = artifacts_of("fig06", 1);
-  const Artifacts queued = artifacts_of("fig06", 1, memsim::LinkModelKind::kQueue);
-  EXPECT_EQ(loi.csv, queued.csv);
-  EXPECT_EQ(loi.json, queued.json);
-  EXPECT_FALSE(loi.csv.empty());
-}
-
 /// The spec's link model must reach every engine a scenario builds. A
 /// planner scenario moves pages, so its bulk traffic makes the queue model
-/// visible in the artifacts (run_under_wave's engines); ext-interleave has
-/// no bulk traffic and stays byte-identical (the compat guarantee); and
+/// visible in the artifacts (run_under_wave's engines); ext-interleave
+/// prices fabric demand traffic into a `time_ms` column but moves no bulk
+/// traffic, so it stays byte-identical (the queue model's compat
+/// guarantee: zero cross-class rate is the closed form); and
 /// ext-queue-contention pins kQueue in its own config, so the spec cannot
 /// change it.
 TEST(Determinism, SpecLinkModelReachesScenarioEngines) {
@@ -274,37 +215,6 @@ TEST(Determinism, ExtQueueContentionArtifactsAreReproducible) {
   EXPECT_EQ(first.csv, second.csv);
   EXPECT_EQ(first.json, second.json);
   EXPECT_FALSE(first.csv.empty());
-}
-
-// ---- epoch-profile repricing vs full simulation -----------------------------
-// The correctness gate for the repricer (core/epoch_profile.h): every
-// run_sweep captures one epoch profile per functional key and re-prices
-// every other eligible run from it, and must produce byte-identical
-// artifacts to the live reference loop (test::live_sweep). fig06's axes
-// (app, scale, prefetch) are all functional, so it pins one half of the
-// contract: on a grid with no timing axis every point captures and
-// nothing re-prices. Scenarios whose measure functions sweep an LoI axis
-// (ext-cxl) exercise reprices > 0 in tests/test_reprice.cpp.
-
-TEST(Determinism, Fig06RepriceMatchesFullSimulation) {
-#ifdef MEMDIS_UNDER_ASAN
-  GTEST_SKIP() << "double fig06 run exceeds the sanitized scenario timeout";
-#endif
-  const auto* fig06 = core::ScenarioRegistry::instance().find("fig06");
-  ASSERT_NE(fig06, nullptr);
-  core::SweepResult full = test::live_sweep(fig06->spec, fig06->measure);
-  full.scenario = fig06->name;
-  const core::SweepResult repriced = core::run_scenario(*fig06, {.jobs = 1});
-  // Every fig06 axis is functional (the profiler's prefetch on/off pair
-  // included), so each eligible run captures and none re-prices.
-  EXPECT_GT(repriced.repricing.captures, 0u);
-  EXPECT_EQ(repriced.repricing.reprices, 0u);
-  EXPECT_TRUE(full.rows_equal(repriced));
-  const Artifacts a = artifacts(full);
-  const Artifacts b = artifacts(repriced);
-  EXPECT_EQ(a.csv, b.csv);
-  EXPECT_EQ(a.json, b.json);
-  EXPECT_FALSE(a.csv.empty());
 }
 
 /// Repricing composes with parallel execution: the leader/follower waves

@@ -3,8 +3,9 @@
 // Three properties carry the design (queue_model.h):
 //  * delay is monotone in utilization, own-class and cross-class alike;
 //  * class isolation — with zero cross traffic every query reduces
-//    *bit-identically* to the LinkModel closed form (the compat guarantee
-//    that lets the six pre-queue goldens gate the refactor);
+//    *bit-identically* to the LinkModel closed form (the compat
+//    guarantee; test_determinism lifts it to the ext-interleave
+//    scenario);
 //  * the windowed arrival-rate estimator is a plain ring: old epochs age
 //    out after `queue_window_epochs` observations, no decay constants.
 // The last test lifts the isolation property to whole-engine granularity:

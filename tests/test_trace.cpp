@@ -30,14 +30,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-#if defined(__SANITIZE_ADDRESS__)
-#define MEMDIS_UNDER_ASAN 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define MEMDIS_UNDER_ASAN 1
-#endif
-#endif
-
 fs::path temp_file(const std::string& name) {
   return fs::path(::testing::TempDir()) / name;
 }
