@@ -1,6 +1,8 @@
 #include "fleet/fleet.h"
 
 #include <algorithm>
+#include <cmath>
+#include <deque>
 #include <limits>
 #include <ostream>
 
@@ -127,6 +129,13 @@ std::vector<PoolSpec> default_pools(std::size_t pools) {
   return std::vector<PoolSpec>(pools, PoolSpec{});
 }
 
+std::size_t first_unreachable_arrival(const std::vector<Arrival>& arrivals, double step_s) {
+  const double limit = std::ldexp(step_s, 52);
+  for (std::size_t i = 0; i < arrivals.size(); ++i)
+    if (!(arrivals[i].time_s < limit)) return i;
+  return arrivals.size();
+}
+
 FleetResult run_fleet(const FleetConfig& cfg, const std::vector<JobClass>& classes,
                       const std::vector<Arrival>& arrivals, unsigned threads) {
   expects(!cfg.pools.empty(), "fleet has no pools");
@@ -140,6 +149,8 @@ FleetResult run_fleet(const FleetConfig& cfg, const std::vector<JobClass>& class
   }
   for (const auto& a : arrivals)
     expects(a.job_class < classes.size(), "arrival names an unknown job class");
+  expects(first_unreachable_arrival(arrivals, cfg.step_s) == arrivals.size(),
+          "arrival at or beyond 2^52 fleet steps: the clock cannot reach it");
 
   std::vector<PoolState> pools;
   pools.reserve(cfg.pools.size());
@@ -167,7 +178,7 @@ FleetResult run_fleet(const FleetConfig& cfg, const std::vector<JobClass>& class
   };
 
   std::vector<RunningJob> running;
-  std::vector<std::size_t> pending;  // arrival indices, FIFO
+  std::deque<std::size_t> pending;  // arrival indices, FIFO
   std::size_t next_arrival = 0;
   double now = 0.0;
 
@@ -220,9 +231,14 @@ FleetResult run_fleet(const FleetConfig& cfg, const std::vector<JobClass>& class
       const int pool_idx = choose_pool(classes[arrivals[pending.front()].job_class]);
       if (pool_idx < 0) break;
       place(pending.front(), pool_idx);
-      pending.erase(pending.begin());
+      pending.pop_front();
     }
   };
+
+  // Per-step scratch, reused so a step allocates nothing once warm.
+  std::vector<double> bulk_cross(pools.size());
+  std::vector<double> speeds;
+  std::vector<std::size_t> done;
 
   while (next_arrival < arrivals.size() || !running.empty() || !pending.empty()) {
     const double dt = cfg.step_s;
@@ -317,7 +333,6 @@ FleetResult run_fleet(const FleetConfig& cfg, const std::vector<JobClass>& class
     }
     // Per-pool bulk cross rate: the QueueModel's windowed estimate — a
     // migration burst inflates every resident job's LoI for one window.
-    std::vector<double> bulk_cross(pools.size());
     for (std::size_t p = 0; p < pools.size(); ++p)
       bulk_cross[p] = pools[p].queue.cross_rate_gbps(TrafficClass::kDemand);
 
@@ -325,7 +340,7 @@ FleetResult run_fleet(const FleetConfig& cfg, const std::vector<JobClass>& class
     // Each job reads only the frozen snapshot and writes only its own slot,
     // so any thread count produces bit-identical results (QueueModel::
     // effective_loi is a pure read — it never touches the scratch link).
-    std::vector<double> speeds(running.size());
+    speeds.resize(running.size());
     parallel_for(running.size(), threads, [&](std::size_t i) {
       const RunningJob& rj = running[i];
       if (rj.paused) {
@@ -344,7 +359,7 @@ FleetResult run_fleet(const FleetConfig& cfg, const std::vector<JobClass>& class
     });
 
     // -- 4. advance, retire completions, integrate gauges (serial) -----------
-    std::vector<std::size_t> done;
+    done.clear();
     for (std::size_t i = 0; i < running.size(); ++i) {
       RunningJob& rj = running[i];
       const double speed = speeds[i];

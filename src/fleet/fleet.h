@@ -146,9 +146,20 @@ struct FleetResult {
   void write_json_file(const std::string& path) const;
 };
 
+/// Index of the first arrival the fleet clock cannot reach at timestep
+/// `step_s`, or `arrivals.size()` if it reaches them all. The clock is
+/// `now += step_s`: below 2^52 steps one ulp of `now` stays under
+/// `step_s`, so every step advances it, but near 2^53 steps the sum rounds
+/// back to `now` and the clock stalls. An arrival at or beyond 2^52 steps
+/// (or a NaN time) is therefore unreachable; run_fleet rejects it rather
+/// than loop forever. Reachable horizons still cost one step per `step_s`.
+[[nodiscard]] std::size_t first_unreachable_arrival(const std::vector<Arrival>& arrivals,
+                                                    double step_s);
+
 /// Runs the arrival stream to completion. `threads` shards the per-job
 /// simulation step across the sweep thread pool (0 = hardware
-/// concurrency); results are bit-identical for any value.
+/// concurrency); results are bit-identical for any value. Every arrival
+/// must be reachable (first_unreachable_arrival).
 [[nodiscard]] FleetResult run_fleet(const FleetConfig& cfg,
                                     const std::vector<JobClass>& classes,
                                     const std::vector<Arrival>& arrivals,

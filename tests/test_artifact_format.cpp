@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cfloat>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -185,6 +186,67 @@ TEST(FormatDouble, MatchesTheSnprintfOracleAtTheEdges) {
       values.push_back(-v);
     }
   }
+  EXPECT_EQ(oracle_mismatches(values), 0);
+}
+
+// The one-conversion path must fall back to the search for 16-digit exact
+// powers of two, whose rounding interval is half as wide below the value:
+// random bit patterns (almost) never have a zero mantissa, so every normal
+// power of two is compared here.
+TEST(FormatDouble, MatchesTheSnprintfOracleOnEveryPowerOfTwo) {
+  std::vector<double> values;
+  for (int e = -1022; e <= 1023; ++e) {
+    values.push_back(std::ldexp(1.0, e));
+    values.push_back(-std::ldexp(1.0, e));
+  }
+  EXPECT_EQ(oracle_mismatches(values), 0);
+  // Shortest is 7.120236347223045e-307, but %.16g of it does not round-trip.
+  EXPECT_EQ(format_double(std::ldexp(1.0, -1017)), "7.1202363472230444e-307");
+}
+
+/// Significant digits of the shortest round-trip string of `v`.
+int shortest_digits(double v) {
+  char buf[64];
+  char* const end = std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::scientific).ptr;
+  char* const e = std::find(buf, end, 'e');
+  return static_cast<int>(std::count_if(buf, e, [](char c) { return c >= '0' && c <= '9'; }));
+}
+
+// %.Pg is laid out with P = max(15, k) for a shortest string of k digits:
+// cover every k in both notations and across the fixed/exponent switch,
+// plus the integers around 1e15/1e16/1e17, where X meets P.
+TEST(FormatDouble, MatchesTheSnprintfOracleAtEveryShortestLength) {
+  Xoshiro256 rng(22);
+  std::vector<double> values;
+  std::vector<int> seen(18, 0);
+  const auto add = [&](double v) {
+    ++seen[static_cast<std::size_t>(shortest_digits(v))];
+    values.push_back(v);
+    values.push_back(-v);
+  };
+  for (int k = 1; k <= 17; ++k) {
+    for (const int x : {-307, -20, -6, -5, -4, -3, -1, 0, 1, 5, 13, 14, 15, 16, 17, 20, 300}) {
+      for (int rep = 0; rep < 8; ++rep) {
+        std::string text(1, static_cast<char>('1' + rng() % 9));
+        if (k > 1) {
+          text += '.';
+          for (int d = 2; d < k; ++d) text += static_cast<char>('0' + rng() % 10);
+          text += static_cast<char>('1' + rng() % 9);
+        }
+        add(std::strtod((text + "e" + std::to_string(x)).c_str(), nullptr));
+      }
+    }
+  }
+  for (const double base : {1e15, 1e16, 1e17}) {
+    for (int d = -40; d <= 40; ++d) add(base + d);
+    double up = base;
+    double down = base;
+    for (int i = 0; i < 20; ++i) {
+      add(up = std::nextafter(up, std::numeric_limits<double>::infinity()));
+      add(down = std::nextafter(down, 0.0));
+    }
+  }
+  for (int k = 1; k <= 17; ++k) EXPECT_GT(seen[static_cast<std::size_t>(k)], 0) << "k=" << k;
   EXPECT_EQ(oracle_mismatches(values), 0);
 }
 

@@ -1,14 +1,17 @@
 // Fleet simulator tests: arrival-spec grammar, seeding determinism, the
 // serial-vs-parallel bit-identity contract at fleet scale, the
 // admission-capacity property, and the interference-aware placement claim.
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "common/contract.h"
 #include "fleet/arrival.h"
 #include "fleet/fleet.h"
 
@@ -109,6 +112,24 @@ FleetConfig two_pool_config() {
   FleetConfig cfg;
   cfg.pools = default_pools(2);
   return cfg;
+}
+
+// A trace row the fleet clock can never reach loads fine (the grammar is
+// valid), but run_fleet refuses it instead of stepping forever.
+TEST(TraceArrivals, UnreachableRowIsRejectedByTheRun) {
+  const std::string path = ::testing::TempDir() + "/fleet_late_arrivals.csv";
+  {
+    std::ofstream out(path);
+    out << "arrival_s,class\n0.5,etl-burst\n1e16,etl-burst\n";
+  }
+  std::string error;
+  const auto classes = default_job_classes();
+  const auto arrivals =
+      load_trace_arrivals(path, {"hpc-solver", "analytics", "etl-burst"}, 42, error);
+  std::remove(path.c_str());
+  ASSERT_TRUE(arrivals.has_value()) << error;
+  EXPECT_EQ(first_unreachable_arrival(*arrivals, 1.0), 1u);
+  EXPECT_THROW((void)run_fleet(two_pool_config(), classes, *arrivals), contract_violation);
 }
 
 std::vector<Arrival> poisson_stream(double rate, std::size_t count, std::uint64_t seed) {
@@ -232,6 +253,32 @@ TEST(Fleet, LoiAwareAdmissionBeatsFirstFitBelowSaturation) {
   EXPECT_EQ(aware.rejected, 0u);
   EXPECT_LT(aware.p50_slowdown, first_fit.p50_slowdown);
   EXPECT_LT(aware.p99_slowdown, first_fit.p99_slowdown);
+}
+
+// The clock is `now += step_s`; near 2^53 steps the sum rounds back to
+// `now`, so an arrival from 2^52 steps on would never be reached.
+TEST(Fleet, RejectsArrivalsTheClockCannotReach) {
+  const double stalled = std::ldexp(1.0, 53);
+  EXPECT_EQ(stalled + 1.0, stalled);
+  const auto classes = default_job_classes();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double step : {1.0, 0.25, 60.0}) {
+    const double limit = std::ldexp(step, 52);
+    // The last reachable time: one step still moves the clock there.
+    const double last = std::nextafter(limit, 0.0);
+    EXPECT_GT(last + step, last);
+    std::vector<Arrival> arrivals = {{0.0, 2, arrival_seed(42, 0)},
+                                     {last, 2, arrival_seed(42, 1)}};
+    EXPECT_EQ(first_unreachable_arrival(arrivals, step), arrivals.size()) << step;
+    FleetConfig cfg = two_pool_config();
+    cfg.step_s = step;
+    for (const double t : {limit, 1e16 * step, 1e300, inf, nan}) {
+      arrivals[1].time_s = t;
+      EXPECT_EQ(first_unreachable_arrival(arrivals, step), 1u) << t;
+      EXPECT_THROW((void)run_fleet(cfg, classes, arrivals), contract_violation) << t;
+    }
+  }
 }
 
 TEST(Fleet, TraceAndPoissonSourcesShareJobInputs) {

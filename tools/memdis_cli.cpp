@@ -626,6 +626,13 @@ int cmd_fleet(const Args& args) {
     }
     arrivals = std::move(*loaded);
   }
+  const std::size_t late = fleet::first_unreachable_arrival(arrivals, cfg.step_s);
+  if (late < arrivals.size()) {
+    std::cerr << "error: --arrivals: arrival " << late << " at " << arrivals[late].time_s
+              << " s is at or beyond 2^52 steps of " << cfg.step_s
+              << " s, which the fleet clock cannot reach\n";
+    return 2;
+  }
 
   std::cout << "fleet: " << arrivals.size() << " arrivals over " << cfg.pools.size()
             << " pool(s) (" << args.pool_nodes << " nodes, " << Table::num(args.pool_gb, 0)
