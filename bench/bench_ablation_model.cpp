@@ -30,8 +30,9 @@ int main() {
     }
     core::MultiLevelProfiler profiler(cfg);
     const auto l1 = profiler.level1(*wl);
-    a.add_row({throttle ? "on (default)" : "off", Table::pct(l1.prefetch.accuracy),
-               Table::pct(l1.prefetch.excess_traffic), Table::num(l1.elapsed_s * 1e3, 3)});
+    const auto pf = profiler.prefetch(*wl, l1).metrics;
+    a.add_row({throttle ? "on (default)" : "off", Table::pct(pf.accuracy),
+               Table::pct(pf.excess_traffic), Table::num(l1.run.elapsed_s * 1e3, 3)});
   }
   a.print(std::cout);
 
@@ -57,8 +58,9 @@ int main() {
   for (const double qw : {0.06, 0.12, 0.24}) {
     core::RunConfig cfg;
     cfg.machine.pool_link().queue_weight = qw;
+    cfg.remote_capacity_ratio = 0.5;
     auto wl = workloads::make_workload(workloads::App::kHypre, 1);
-    const auto curve = core::sensitivity_sweep(*wl, cfg, 0.5, {0, 50});
+    const auto curve = core::sensitivity_sweep(*wl, cfg, core::run_workload(*wl, cfg), {0, 50});
     c.add_row({Table::num(qw, 2), Table::num(curve.back().relative_performance, 3)});
   }
   c.print(std::cout);

@@ -42,9 +42,10 @@ int main() {
        {workloads::App::kNekRS, workloads::App::kHPL, workloads::App::kXSBench}) {
     auto wl = workloads::make_workload(app, 1);
     const auto l1 = profiler.level1(*wl);
+    const auto pf = profiler.prefetch(*wl, l1);
     constexpr std::size_t kBuckets = 12;
-    const auto on = bucketize(l1.timeline_prefetch_on, kBuckets);
-    const auto off = bucketize(l1.timeline_prefetch_off, kBuckets);
+    const auto on = bucketize(l1.run.epochs, kBuckets);
+    const auto off = bucketize(pf.off.epochs, kBuckets);
 
     std::cout << "\n" << wl->name() << " (M cachelines per time bucket):\n";
     Table t({"bucket", "w. prefetch", "w.o. prefetch", "ratio"});
@@ -62,7 +63,7 @@ int main() {
               << "M, w.o. prefetch " << Table::num(sum_off * 1e-6, 2)
               << "M (+" << Table::pct(sum_off > 0 ? sum_on / sum_off - 1.0 : 0.0)
               << " traffic), performance gain from prefetching: "
-              << Table::pct(l1.prefetch.performance_gain) << "\n";
+              << Table::pct(pf.metrics.performance_gain) << "\n";
   }
   std::cout << "\nExpected shape (paper): traffic per interval is visibly higher with\n"
                "prefetching enabled (prefetchers consume substantial bandwidth) while\n"

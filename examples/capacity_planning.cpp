@@ -40,9 +40,9 @@ int main(int argc, char** argv) {
     const double b_eff =
         core::effective_bandwidth_gbps(machine, machine.remote_bandwidth_ratio());
 
-    const bool latency_sensitive = l1.prefetch.coverage < 0.2;
+    const bool latency_sensitive = core::prefetch_coverage(l1.run.counters) < 0.2;
     t.add_row(
-        {wl->name(), format_bytes(static_cast<double>(l1.peak_rss_bytes)),
+        {wl->name(), format_bytes(static_cast<double>(l1.run.peak_rss_bytes)),
          Table::pct(hot_fraction) + " of footprint", Table::pct(poolable),
          Table::num(b_eff, 0) + " GB/s",
          latency_sensitive ? "minimize remote exposure (latency-bound)"

@@ -28,19 +28,19 @@ int main(int argc, char** argv) {
 
   // ---- Level 1 --------------------------------------------------------------
   const auto l1 = profiler.level1(*workload);
+  const auto pf = profiler.prefetch(*workload, l1).metrics;
   std::cout << "\n[Level 1] intrinsic memory requirements\n"
-            << "  verified run:        " << (l1.result.verified ? "yes" : "NO") << " ("
-            << l1.result.detail << ")\n"
-            << "  peak footprint:      " << format_bytes(static_cast<double>(l1.peak_rss_bytes))
+            << "  verified run:        " << (l1.run.result.verified ? "yes" : "NO") << " ("
+            << l1.run.result.detail << ")\n"
+            << "  peak footprint:      " << format_bytes(static_cast<double>(l1.run.peak_rss_bytes))
             << "\n"
             << "  arithmetic intensity " << Table::num(l1.arithmetic_intensity, 3)
             << " flop/B, mean DRAM bandwidth " << Table::num(l1.mean_dram_gbps, 1) << " GB/s\n"
             << "  hottest 20% of footprint covers "
             << Table::pct(l1.scaling_curve.access_fraction_at(0.2)) << " of accesses (skew "
             << Table::num(l1.scaling_curve.skewness(), 2) << ")\n"
-            << "  prefetch: accuracy " << Table::pct(l1.prefetch.accuracy) << ", coverage "
-            << Table::pct(l1.prefetch.coverage) << ", gain "
-            << Table::pct(l1.prefetch.performance_gain) << "\n";
+            << "  prefetch: accuracy " << Table::pct(pf.accuracy) << ", coverage "
+            << Table::pct(pf.coverage) << ", gain " << Table::pct(pf.performance_gain) << "\n";
 
   // ---- Level 2 --------------------------------------------------------------
   const double remote_ratio = 0.5;

@@ -22,10 +22,10 @@ JobRequirements JobRequirements::from_profile(const Level1Profile& l1, double sc
   }
   job.total_flops = flops * scale_factor;
   job.dram_traffic_bytes = traffic * scale_factor;
-  job.footprint_bytes = static_cast<double>(l1.peak_rss_bytes) * scale_factor;
+  job.footprint_bytes = static_cast<double>(l1.run.peak_rss_bytes) * scale_factor;
   job.curve_samples = l1.scaling_curve.sample(33);
-  job.prefetch_coverage = l1.prefetch.coverage;
-  job.comm_seconds_base = comm_fraction * l1.elapsed_s * scale_factor;
+  job.prefetch_coverage = core::prefetch_coverage(l1.run.counters);
+  job.comm_seconds_base = comm_fraction * l1.run.elapsed_s * scale_factor;
   job.base_nodes = 1.0;
   return job;
 }

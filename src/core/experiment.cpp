@@ -30,13 +30,6 @@ double RunOutput::arithmetic_intensity() const {
   return static_cast<double>(flops) / bytes;
 }
 
-double RunOutput::mean_offered_link_utilization(const memsim::MachineConfig& m) const {
-  if (elapsed_s <= 0) return 0.0;
-  const double remote_gbps = bytes_per_sec_to_gbps(
-      static_cast<double>(counters.fabric_dram_bytes()) / elapsed_s);
-  return remote_gbps * m.pool_link().protocol_overhead / m.pool_link().traffic_capacity_gbps;
-}
-
 std::vector<double> spill_capacity_fractions(const memsim::MachineConfig& machine,
                                              double ratio) {
   if (machine.num_tiers() < 3) return {};

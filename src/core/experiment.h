@@ -80,9 +80,6 @@ struct RunOutput {
   /// Arithmetic intensity over the whole run: flops per DRAM byte
   /// (Byte_LM + Byte_RM in the paper's Level-2 formula).
   [[nodiscard]] double arithmetic_intensity() const;
-  /// Average offered link utilization implied by remote traffic (can
-  /// exceed 1 when oversubscribed); input to interference coefficients.
-  [[nodiscard]] double mean_offered_link_utilization(const memsim::MachineConfig& m) const;
 };
 
 /// Capacity fractions of the spill-chain experiments for off-node ratio

@@ -110,17 +110,16 @@ double measured_duration(const RunOutput& run, const std::string& phase_tag) {
 }  // namespace
 
 std::vector<SensitivityPoint> sensitivity_sweep(workloads::Workload& workload,
-                                                const RunConfig& base,
-                                                double remote_capacity_ratio,
+                                                const RunConfig& baseline_cfg,
+                                                const RunOutput& baseline,
                                                 const std::vector<double>& lois,
                                                 const std::string& phase_tag) {
   expects(!lois.empty(), "need at least one LoI level");
-  std::vector<SensitivityPoint> curve;
-  RunConfig cfg = base;
-  cfg.remote_capacity_ratio = remote_capacity_ratio;
-  cfg.background_loi = 0.0;
-  const double t_base = measured_duration(run_workload(workload, cfg), phase_tag);
+  expects(baseline_cfg.background_loi == 0.0, "baseline runs without background LoI");
+  const double t_base = measured_duration(baseline, phase_tag);
   expects(t_base > 0, "baseline run has zero duration");
+  std::vector<SensitivityPoint> curve;
+  RunConfig cfg = baseline_cfg;
   for (const double loi : lois) {
     if (loi == 0.0) {
       curve.push_back({0.0, 1.0});

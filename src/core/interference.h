@@ -103,12 +103,13 @@ struct SensitivityPoint {
   double relative_performance = 1.0;  ///< T(LoI=0) / T(LoI)
 };
 
-/// Sweeps background LoI for `workload` at the given remote capacity ratio.
-/// The LoI=0 run is included as the baseline (first element). When
-/// `phase_tag` is non-empty, only that phase's runtime is compared — the
-/// paper's Fig. 10 reports the main compute phase (p2) of each app.
+/// Sweeps background LoI for `workload` against `baseline`, its run under
+/// `baseline_cfg` (background LoI 0): one run per non-zero LoI, each
+/// `baseline_cfg` at that LoI; LoI 0 maps to 1.0. When `phase_tag` is
+/// non-empty, only that phase's runtime is compared — the paper's Fig. 10
+/// reports the main compute phase (p2) of each app.
 [[nodiscard]] std::vector<SensitivityPoint> sensitivity_sweep(
-    workloads::Workload& workload, const RunConfig& base, double remote_capacity_ratio,
+    workloads::Workload& workload, const RunConfig& baseline_cfg, const RunOutput& baseline,
     const std::vector<double>& lois, const std::string& phase_tag = {});
 
 /// Linear interpolation over a sensitivity curve (used by the scheduler

@@ -1,9 +1,10 @@
 // Hardware-prefetch suitability analysis (Sec. 4.2, Fig. 8).
 //
 // Implements the paper's Eq. 1 (Accuracy) and Eq. 2 (Coverage) from the
-// simulated L2 counters, plus the excess-traffic and performance-gain
-// metrics that require a paired run with the prefetcher disabled
-// (MSR 0x1a4 analogue).
+// simulated L2 counters of one prefetch-on run — a Level-1 profile's own
+// run suffices — plus the excess-traffic and performance-gain metrics,
+// which alone need the prefetch-off twin (MSR 0x1a4 analogue;
+// MultiLevelProfiler::prefetch).
 #pragma once
 
 #include "cachesim/counters.h"

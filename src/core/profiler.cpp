@@ -25,20 +25,20 @@ std::vector<PhaseCharacteristics> phase_characteristics(const RunOutput& run) {
   return out;
 }
 
+/// Level 1's config: node-local memory only, no interference, prefetch on.
+RunConfig node_local(RunConfig cfg) {
+  cfg.remote_capacity_ratio.reset();
+  cfg.background_loi = 0.0;
+  cfg.prefetch_enabled = true;
+  return cfg;
+}
+
 }  // namespace
 
 Level1Profile MultiLevelProfiler::level1(workloads::Workload& workload) const {
-  RunConfig cfg = base_;
-  cfg.remote_capacity_ratio.reset();  // Level 1 runs on node-local memory only
-  cfg.background_loi = 0.0;
-  cfg.prefetch_enabled = true;
-  const RunOutput on = run_workload(workload, cfg);
+  RunOutput on = run_workload(workload, node_local(base_));
 
-  cfg.prefetch_enabled = false;
-  const RunOutput off = run_workload(workload, cfg);
-
-  const std::uint64_t page = cfg.machine.page_bytes;
-  const std::uint64_t rss_pages = on.peak_rss_bytes / page;
+  const std::uint64_t rss_pages = on.peak_rss_bytes / base_.machine.page_bytes;
   std::unordered_map<std::uint64_t, std::uint64_t> hist = on.page_accesses;
   if (hist.empty()) {
     // Fully cache-resident run: no DRAM-level load misses were sampled, so
@@ -49,20 +49,21 @@ Level1Profile MultiLevelProfiler::level1(workloads::Workload& workload) const {
   const std::uint64_t sampled = hist.size();
   const std::uint64_t untouched = rss_pages > sampled ? rss_pages - sampled : 0;
 
-  Level1Profile p{on.result,
-                  on.elapsed_s,
-                  on.peak_rss_bytes,
-                  on.arithmetic_intensity(),
-                  on.elapsed_s > 0
-                      ? bytes_per_sec_to_gbps(
-                            static_cast<double>(on.counters.dram_bytes_total()) / on.elapsed_s)
-                      : 0.0,
-                  phase_characteristics(on),
-                  ScalingCurve(hist, untouched),
-                  analyze_prefetch(on.counters, on.elapsed_s, off.counters, off.elapsed_s),
-                  on.epochs,
-                  off.epochs};
-  return p;
+  return {on.arithmetic_intensity(),
+          on.elapsed_s > 0 ? bytes_per_sec_to_gbps(
+                                 static_cast<double>(on.counters.dram_bytes_total()) /
+                                 on.elapsed_s)
+                           : 0.0,
+          phase_characteristics(on), ScalingCurve(hist, untouched), std::move(on)};
+}
+
+PrefetchProfile MultiLevelProfiler::prefetch(workloads::Workload& workload,
+                                             const Level1Profile& l1) const {
+  RunConfig cfg = node_local(base_);
+  cfg.prefetch_enabled = false;
+  RunOutput off = run_workload(workload, cfg);
+  return {analyze_prefetch(l1.run.counters, l1.run.elapsed_s, off.counters, off.elapsed_s),
+          std::move(off)};
 }
 
 Level2Profile MultiLevelProfiler::level2(workloads::Workload& workload,
@@ -94,14 +95,12 @@ Level2Profile MultiLevelProfiler::level2(workloads::Workload& workload,
 Level3Profile MultiLevelProfiler::level3(workloads::Workload& workload,
                                          double remote_capacity_ratio,
                                          const std::vector<double>& lois) const {
-  Level3Profile p;
-  p.sensitivity = sensitivity_sweep(workload, base_, remote_capacity_ratio, lois);
   RunConfig cfg = base_;
   cfg.remote_capacity_ratio = remote_capacity_ratio;
   cfg.background_loi = 0.0;
   const RunOutput baseline = run_workload(workload, cfg);
-  p.induced = induced_interference(baseline, cfg.machine);
-  return p;
+  return {sensitivity_sweep(workload, cfg, baseline, lois),
+          induced_interference(baseline, cfg.machine)};
 }
 
 }  // namespace memdis::core

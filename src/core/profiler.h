@@ -3,7 +3,8 @@
 //
 //   Level 1 — intrinsic requirements: arithmetic intensity, capacity and
 //             bandwidth usage, bandwidth–capacity scaling curve, prefetch
-//             suitability (requires a paired prefetch-off run).
+//             accuracy and coverage, all from one prefetch-on run. Excess
+//             traffic and gain need its prefetch-off twin (`prefetch`).
 //   Level 2 — multi-tier behaviour: per-phase remote access ratios against
 //             the R_cap / R_bw reference points.
 //   Level 3 — pooling behaviour: interference sensitivity curve and the
@@ -31,16 +32,18 @@ struct PhaseCharacteristics {
 };
 
 struct Level1Profile {
-  workloads::WorkloadResult result;
-  double elapsed_s = 0.0;
-  std::uint64_t peak_rss_bytes = 0;
   double arithmetic_intensity = 0.0;
   double mean_dram_gbps = 0.0;
   std::vector<PhaseCharacteristics> phases;
   ScalingCurve scaling_curve;
-  PrefetchMetrics prefetch;
-  std::vector<sim::EpochRecord> timeline_prefetch_on;
-  std::vector<sim::EpochRecord> timeline_prefetch_off;
+  RunOutput run;  ///< the prefetch-on run (result, time, footprint, timeline)
+};
+
+/// The prefetch step's outcome (Fig. 7/8): Eq. 1–2 plus excess traffic and
+/// gain against the prefetch-off twin, and the twin itself.
+struct PrefetchProfile {
+  PrefetchMetrics metrics;
+  RunOutput off;  ///< the prefetch-off run (Fig. 7's second timeline)
 };
 
 /// Per-phase Level-2 measurements (drives Fig. 9).
@@ -71,16 +74,21 @@ class MultiLevelProfiler {
  public:
   explicit MultiLevelProfiler(RunConfig base = {}) : base_(std::move(base)) {}
 
-  /// Level 1: two runs (prefetch on + off) on node-local memory only.
+  /// Level 1: one prefetch-on run on node-local memory only.
   [[nodiscard]] Level1Profile level1(workloads::Workload& workload) const;
+
+  /// The prefetch-off twin of `l1.run` (the MSR 0x1a4 toggle): one run of
+  /// the workload `l1` profiled, same node-local config, prefetcher off.
+  [[nodiscard]] PrefetchProfile prefetch(workloads::Workload& workload,
+                                         const Level1Profile& l1) const;
 
   /// Level 2: one run with the local tier shrunk to force the requested
   /// remote capacity ratio (e.g. 0.25 / 0.5 / 0.75 as in Fig. 9).
   [[nodiscard]] Level2Profile level2(workloads::Workload& workload,
                                      double remote_capacity_ratio) const;
 
-  /// Level 3: baseline + one run per LoI level (Fig. 10), plus the induced
-  /// interference coefficient from the baseline run (Fig. 11 right).
+  /// Level 3: baseline + one run per non-zero LoI level (Fig. 10), plus the
+  /// induced interference coefficient from that baseline run (Fig. 11 right).
   [[nodiscard]] Level3Profile level3(workloads::Workload& workload,
                                      double remote_capacity_ratio,
                                      const std::vector<double>& lois = {0, 10, 20, 30, 40,

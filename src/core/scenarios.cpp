@@ -100,7 +100,7 @@ std::vector<Metric> measure_fig06(const SweepPoint& point) {
   const auto l1 = profiler.level1(*wl);
   const auto& curve = l1.scaling_curve;
   std::vector<Metric> metrics;
-  metrics.emplace_back("footprint_mib", static_cast<double>(l1.peak_rss_bytes) / (1 << 20));
+  metrics.emplace_back("footprint_mib", static_cast<double>(l1.run.peak_rss_bytes) / (1 << 20));
   for (const double f : {0.10, 0.20, 0.30, 0.50, 0.70, 0.90})
     metrics.emplace_back("af_" + std::to_string(static_cast<int>(f * 100)),
                          curve.access_fraction_at(f));
@@ -156,10 +156,11 @@ std::vector<Metric> measure_fig08(const SweepPoint& point) {
   MultiLevelProfiler profiler(point.run_config());
   auto wl = point.make_workload();
   const auto l1 = profiler.level1(*wl);
-  return {{"accuracy", l1.prefetch.accuracy},
-          {"coverage", l1.prefetch.coverage},
-          {"excess_traffic", l1.prefetch.excess_traffic},
-          {"performance_gain", l1.prefetch.performance_gain}};
+  const auto pf = profiler.prefetch(*wl, l1).metrics;
+  return {{"accuracy", pf.accuracy},
+          {"coverage", pf.coverage},
+          {"excess_traffic", pf.excess_traffic},
+          {"performance_gain", pf.performance_gain}};
 }
 
 void summarize_fig08(const SweepResult& result, std::ostream& os) {
@@ -227,7 +228,8 @@ const std::vector<double> kFig10Lois = {0, 10, 20, 30, 40, 50};
 
 std::vector<Metric> measure_fig10(const SweepPoint& point) {
   auto wl = point.make_workload();
-  const auto curve = sensitivity_sweep(*wl, point.run_config(), point.ratio, kFig10Lois, "p2");
+  const RunConfig cfg = point.run_config();
+  const auto curve = sensitivity_sweep(*wl, cfg, run_workload(*wl, cfg), kFig10Lois, "p2");
   std::vector<Metric> metrics;
   for (const auto& pt : curve) metrics.emplace_back(loi_metric(pt.loi), pt.relative_performance);
   metrics.emplace_back("loss_at_50", 1.0 - curve.back().relative_performance);
@@ -317,16 +319,14 @@ std::vector<Metric> measure_fig12(const SweepPoint& point) {
   workloads::BfsParams params = workloads::BfsParams::at_scale(point.scale, point.seed);
   params.variant = bfs_variant_of(point.variant);
   workloads::Bfs bfs(params);
-  MultiLevelProfiler profiler(point.run_config());
-  const auto l2 = profiler.level2(bfs, point.ratio);
+  const RunConfig pooled = point.run_config();  // LoI 0: level2's run is the baseline
+  const auto l2 = MultiLevelProfiler(pooled).level2(bfs, point.ratio);
   double p2_ms = 0.0, p2_remote = 0.0;
   for (const auto& phase : l2.run.phases)
     if (phase.tag == "p2") p2_ms = phase.time_s * 1e3;
   for (const auto& phase : l2.phases)
     if (phase.tag == "p2") p2_remote = phase.remote_access_ratio;
-
-  workloads::Bfs bfs_sens(params);
-  const auto curve = sensitivity_sweep(bfs_sens, point.run_config(), point.ratio, {0, 50});
+  const auto curve = sensitivity_sweep(bfs, pooled, l2.run, {0, 50});
   return {{"p2_ms", p2_ms},
           {"remote_mb", static_cast<double>(l2.run.counters.fabric_dram_bytes()) / 1e6},
           {"p2_remote", p2_remote},
@@ -374,8 +374,7 @@ std::vector<Metric> measure_ext_cxl(const SweepPoint& point) {
   auto wl_pooled = point.make_workload();
   const auto half = run_workload(*wl_pooled, pooled);
 
-  auto wl_sens = point.make_workload();
-  const auto curve = sensitivity_sweep(*wl_sens, cfg, 0.5, {0, 50}, "p2");
+  const auto curve = sensitivity_sweep(*wl_pooled, pooled, half, {0, 50}, "p2");
 
   return {{"local_ms", local.elapsed_s * 1e3},
           {"pooled_ms", half.elapsed_s * 1e3},

@@ -1,15 +1,18 @@
 // Whole-engine state capture and bit-exact comparison for the differential
 // tests: the bulk fast path against its element-wise reference, and trace
 // replay against the live run it recorded. Also the live full-simulation
-// reference that repriced sweeps are compared against.
+// reference that repriced sweeps are compared against, and a workload
+// wrapper that counts its runs.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <tuple>
 #include <unordered_map>
 #include <utility>
@@ -18,6 +21,7 @@
 #include "core/epoch_profile.h"
 #include "core/sweep.h"
 #include "sim/engine.h"
+#include "workloads/lbench.h"
 #include "workloads/workload.h"
 
 /// Defined in AddressSanitizer builds, where the whole-application double
@@ -118,5 +122,26 @@ inline core::SweepResult live_sweep(const core::SweepSpec& spec, const core::Mea
   for (const auto& point : spec.expand()) result.rows.push_back({point, measure(point)});
   return result;
 }
+
+/// Pass-through wrapper that forwards functional_id() (so it is eligible
+/// for repricing) and counts how many times the workload really ran.
+class CountingLbench final : public workloads::Workload {
+ public:
+  CountingLbench(const workloads::LbenchParams& p, std::atomic<int>& runs)
+      : inner_(p), runs_(runs) {}
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+  [[nodiscard]] std::uint64_t footprint_bytes() const override {
+    return inner_.footprint_bytes();
+  }
+  [[nodiscard]] std::string functional_id() const override { return inner_.functional_id(); }
+  workloads::WorkloadResult run(sim::Engine& eng) override {
+    runs_.fetch_add(1);
+    return inner_.run(eng);
+  }
+
+ private:
+  workloads::Lbench inner_;
+  std::atomic<int>& runs_;
+};
 
 }  // namespace memdis::test

@@ -3,6 +3,8 @@
 // quantification, and the placement advisor.
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "common/contract.h"
 #include "core/advisor.h"
 #include "core/experiment.h"
@@ -11,6 +13,7 @@
 #include "core/profiler.h"
 #include "core/roofline.h"
 #include "core/scaling_curve.h"
+#include "engine_run.h"
 #include "workloads/hypre.h"
 #include "workloads/lbench.h"
 
@@ -312,7 +315,9 @@ TEST(Sensitivity, SweepStartsAtOneAndDecreases) {
   p.grid = 96;
   p.iterations = 3;
   workloads::Hypre wl(p);
-  const auto curve = sensitivity_sweep(wl, RunConfig{}, 0.5, {0, 25, 50});
+  RunConfig cfg;
+  cfg.remote_capacity_ratio = 0.5;
+  const auto curve = sensitivity_sweep(wl, cfg, run_workload(wl, cfg), {0, 25, 50});
   ASSERT_EQ(curve.size(), 3u);
   EXPECT_DOUBLE_EQ(curve[0].relative_performance, 1.0);
   EXPECT_LT(curve[1].relative_performance, 1.0);
@@ -394,13 +399,34 @@ TEST(Profiler, Level1ProducesFullProfile) {
   workloads::Hypre wl(p);
   const MultiLevelProfiler profiler{};
   const auto l1 = profiler.level1(wl);
-  EXPECT_TRUE(l1.result.verified);
+  EXPECT_TRUE(l1.run.result.verified);
   EXPECT_GT(l1.arithmetic_intensity, 0.0);
   EXPECT_GT(l1.mean_dram_gbps, 0.0);
   EXPECT_EQ(l1.phases.size(), 2u);
-  EXPECT_GT(l1.prefetch.coverage, 0.0);
-  EXPECT_GT(l1.prefetch.performance_gain, 0.0);
-  EXPECT_FALSE(l1.timeline_prefetch_on.empty());
+  EXPECT_FALSE(l1.run.epochs.empty());
+  const auto pf = profiler.prefetch(wl, l1);
+  EXPECT_GT(pf.metrics.coverage, 0.0);
+  EXPECT_GT(pf.metrics.performance_gain, 0.0);
+  EXPECT_FALSE(pf.off.epochs.empty());
+}
+
+TEST(Profiler, EachStepSimulatesEachConfigurationOnce) {
+  workloads::LbenchParams p;
+  p.elements = 1 << 16;
+  p.nflop = 1;
+  p.sweeps = 4;
+  std::atomic<int> runs{0};
+  test::CountingLbench wl(p, runs);
+  const MultiLevelProfiler profiler{};
+  const auto l1 = profiler.level1(wl);
+  EXPECT_EQ(runs.load(), 1);
+  EXPECT_GT(l1.run.counters.prefetch_fills(), 0u);  // the prefetch-on run
+  const auto pf = profiler.prefetch(wl, l1);
+  EXPECT_EQ(runs.load(), 2);
+  EXPECT_EQ(pf.off.counters.prefetch_fills(), 0u);  // then its prefetch-off twin
+  // One LoI-0 baseline feeds both the curve and the induced IC.
+  (void)profiler.level3(wl, 0.5, {0, 25, 50});
+  EXPECT_EQ(runs.load(), 5);
 }
 
 TEST(Profiler, Level2RatiosInRange) {

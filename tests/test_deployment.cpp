@@ -115,7 +115,7 @@ TEST(Planner, FromProfileProjectsScale) {
   auto wl = workloads::make_workload(workloads::App::kHypre, 1);
   const auto l1 = MultiLevelProfiler{}.level1(*wl);
   const auto job = JobRequirements::from_profile(l1, 100.0);
-  EXPECT_NEAR(job.footprint_bytes, static_cast<double>(l1.peak_rss_bytes) * 100.0, 1.0);
+  EXPECT_NEAR(job.footprint_bytes, static_cast<double>(l1.run.peak_rss_bytes) * 100.0, 1.0);
   EXPECT_GT(job.total_flops, 0.0);
   EXPECT_GT(job.dram_traffic_bytes, 0.0);
   EXPECT_FALSE(job.curve_samples.empty());

@@ -23,12 +23,28 @@ using workloads::App;
 // Shared profiles are expensive to compute; cache them per fixture.
 class PaperShape : public ::testing::Test {
  protected:
-  static core::Level1Profile level1(App app) {
+  static const core::Level1Profile& level1(App app) {
     static std::map<App, core::Level1Profile> cache;
     auto it = cache.find(app);
     if (it == cache.end()) {
       auto wl = workloads::make_workload(app, 1);
       it = cache.emplace(app, MultiLevelProfiler{}.level1(*wl)).first;
+    }
+    return it->second;
+  }
+
+  // Eq. 1-2 on the Level-1 run alone.
+  static double coverage(App app) { return core::prefetch_coverage(level1(app).run.counters); }
+  static double accuracy(App app) { return core::prefetch_accuracy(level1(app).run.counters); }
+
+  // Excess traffic and gain: the cached Level-1 run against its
+  // prefetch-off twin (a fresh instance of the same workload).
+  static core::PrefetchMetrics prefetch(App app) {
+    static std::map<App, core::PrefetchMetrics> cache;
+    auto it = cache.find(app);
+    if (it == cache.end()) {
+      auto wl = workloads::make_workload(app, 1);
+      it = cache.emplace(app, MultiLevelProfiler{}.prefetch(*wl, level1(app)).metrics).first;
     }
     return it->second;
   }
@@ -65,10 +81,10 @@ TEST_F(PaperShape, SkewOrderingBfsVsHpl) {
 // ---------- Sec. 4.2 / Fig. 8 -----------------------------------------------------
 
 TEST_F(PaperShape, StreamingAppsHaveHighestCoverage) {
-  const double nek = level1(App::kNekRS).prefetch.coverage;
-  const double hyp = level1(App::kHypre).prefetch.coverage;
-  const double xs = level1(App::kXSBench).prefetch.coverage;
-  const double bfs = level1(App::kBFS).prefetch.coverage;
+  const double nek = coverage(App::kNekRS);
+  const double hyp = coverage(App::kHypre);
+  const double xs = coverage(App::kXSBench);
+  const double bfs = coverage(App::kBFS);
   EXPECT_GT(nek, 0.5);
   EXPECT_GT(hyp, 0.5);
   EXPECT_LT(xs, 0.2);
@@ -77,28 +93,28 @@ TEST_F(PaperShape, StreamingAppsHaveHighestCoverage) {
 }
 
 TEST_F(PaperShape, XsbenchHasLowestPrefetchAccuracy) {
-  const double xs = level1(App::kXSBench).prefetch.accuracy;
+  const double xs = accuracy(App::kXSBench);
   for (const App other : {App::kHPL, App::kNekRS, App::kHypre, App::kBFS}) {
-    EXPECT_LT(xs, level1(other).prefetch.accuracy) << workloads::app_name(other);
+    EXPECT_LT(xs, accuracy(other)) << workloads::app_name(other);
   }
 }
 
 TEST_F(PaperShape, XsbenchThrottlesItsPrefetcher) {
   // Lowest accuracy yet small excess traffic (the adaptation the paper notes).
-  EXPECT_LT(level1(App::kXSBench).prefetch.excess_traffic, 0.10);
+  EXPECT_LT(prefetch(App::kXSBench).excess_traffic, 0.10);
 }
 
 TEST_F(PaperShape, SuperluHasHighestExcessTraffic) {
-  const double slu = level1(App::kSuperLU).prefetch.excess_traffic;
+  const double slu = prefetch(App::kSuperLU).excess_traffic;
   EXPECT_GT(slu, 0.08);
   for (const App other : {App::kHPL, App::kNekRS, App::kHypre, App::kBFS, App::kXSBench}) {
-    EXPECT_GT(slu, level1(other).prefetch.excess_traffic) << workloads::app_name(other);
+    EXPECT_GT(slu, prefetch(other).excess_traffic) << workloads::app_name(other);
   }
 }
 
 TEST_F(PaperShape, PrefetchGainLargeForNekrsSmallForXsbench) {
-  EXPECT_GT(level1(App::kNekRS).prefetch.performance_gain, 0.25);
-  EXPECT_LT(level1(App::kXSBench).prefetch.performance_gain, 0.10);
+  EXPECT_GT(prefetch(App::kNekRS).performance_gain, 0.25);
+  EXPECT_LT(prefetch(App::kXSBench).performance_gain, 0.10);
 }
 
 // ---------- Sec. 5.1 / Fig. 9 ------------------------------------------------------
@@ -153,10 +169,15 @@ TEST_F(PaperShape, AdvisorFlagsBfsPlacementAt75) {
 // ---------- Sec. 6 / Fig. 10–11 ------------------------------------------------------
 
 TEST_F(PaperShape, HypreMoreInterferenceSensitiveThanHpl) {
-  auto hypre = workloads::make_workload(App::kHypre, 1);
-  auto hpl = workloads::make_workload(App::kHPL, 1);
-  const auto c_hypre = core::sensitivity_sweep(*hypre, RunConfig{}, 0.5, {0, 50}, "p2");
-  const auto c_hpl = core::sensitivity_sweep(*hpl, RunConfig{}, 0.5, {0, 50}, "p2");
+  // Each curve's baseline is the cached Level-2 run at the same split.
+  const auto curve = [](App app) {
+    auto wl = workloads::make_workload(app, 1);
+    RunConfig pooled;
+    pooled.remote_capacity_ratio = 0.5;
+    return core::sensitivity_sweep(*wl, pooled, level2(app, 0.5).run, {0, 50}, "p2");
+  };
+  const auto c_hypre = curve(App::kHypre);
+  const auto c_hpl = curve(App::kHPL);
   EXPECT_LT(c_hypre.back().relative_performance, c_hpl.back().relative_performance);
   // Paper magnitudes on the 50/50 split: Hypre ≈ 15% loss, HPL < 5%.
   EXPECT_LT(c_hypre.back().relative_performance, 0.93);

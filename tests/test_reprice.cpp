@@ -67,26 +67,7 @@ class AnonymousLbench final : public workloads::Workload {
   workloads::Lbench inner_;
 };
 
-// Pass-through wrapper that forwards functional_id() (so it is eligible)
-// and counts how many times the workload really ran.
-class CountingLbench final : public workloads::Workload {
- public:
-  CountingLbench(const workloads::LbenchParams& p, std::atomic<int>& runs)
-      : inner_(p), runs_(runs) {}
-  [[nodiscard]] std::string name() const override { return inner_.name(); }
-  [[nodiscard]] std::uint64_t footprint_bytes() const override {
-    return inner_.footprint_bytes();
-  }
-  [[nodiscard]] std::string functional_id() const override { return inner_.functional_id(); }
-  workloads::WorkloadResult run(sim::Engine& eng) override {
-    runs_.fetch_add(1);
-    return inner_.run(eng);
-  }
-
- private:
-  workloads::Lbench inner_;
-  std::atomic<int>& runs_;
-};
+using test::CountingLbench;
 
 // Asserts bit-identity of everything the repricer recomputes (and of the
 // functional content it must not touch).
@@ -312,10 +293,10 @@ TEST(ProfileScope, Level3InsideAScopeMatchesLiveBitForBit) {
   EXPECT_TRUE(bits_equal(live.induced.ic_mean, scoped.induced.ic_mean));
   EXPECT_TRUE(bits_equal(live.induced.ic_min, scoped.induced.ic_min));
   EXPECT_TRUE(bits_equal(live.induced.ic_max, scoped.induced.ic_max));
-  // One capture (the sensitivity baseline); the three loaded levels and
-  // level3's own baseline run re-price it.
+  // One capture (the baseline, which also feeds the induced IC); the three
+  // loaded levels re-price it.
   EXPECT_EQ(cache.stats().captures, 1u);
-  EXPECT_EQ(cache.stats().reprices, 4u);
+  EXPECT_EQ(cache.stats().reprices, 3u);
 }
 
 // ---- whole sweeps against the live reference loop ---------------------------
@@ -456,12 +437,12 @@ TEST(Reprice, SweepWritesTheLiveReferenceArtifacts) {
 
 // ---- a registered scenario with a real timing axis --------------------------
 
-// ext-cxl's measure function runs `sensitivity_sweep` over LoI levels
-// {0, 50} with the workload and machine shaping held fixed, so inside the
-// sweep the baseline run captures and the LoI-50 run folds the profile —
-// reprices must be strictly positive. The byte-compare against the live
-// reference loop makes this the scenario-level equivalence gate for a grid
-// that genuinely re-prices.
+// ext-cxl's measure function hands its pooled run to `sensitivity_sweep`
+// as the LoI-0 baseline for LoI levels {0, 50}, with the workload and
+// machine shaping held fixed, so inside the sweep the pooled run captures
+// and the LoI-50 run folds the profile — reprices must be strictly
+// positive. The byte-compare against the live reference loop makes this
+// the scenario-level equivalence gate for a grid that genuinely re-prices.
 TEST(Reprice, ExtCxlScenarioRepricesAndMatchesFullSimulation) {
   const auto* scenario = ScenarioRegistry::instance().find("ext-cxl");
   ASSERT_NE(scenario, nullptr);

@@ -441,19 +441,20 @@ int cmd_level1(const Args& args, workloads::App app) {
   core::MultiLevelProfiler profiler(rc);
   auto wl = workloads::make_workload(app, args.scale);
   const auto l1 = profiler.level1(*wl);
+  const auto pf = profiler.prefetch(*wl, l1).metrics;
   Table t({"metric", "value"});
-  t.add_row({"verified", l1.result.verified ? "yes" : "NO"});
-  t.add_row({"simulated time", Table::num(l1.elapsed_s * 1e3, 3) + " ms"});
-  t.add_row({"peak footprint", format_bytes(static_cast<double>(l1.peak_rss_bytes))});
+  t.add_row({"verified", l1.run.result.verified ? "yes" : "NO"});
+  t.add_row({"simulated time", Table::num(l1.run.elapsed_s * 1e3, 3) + " ms"});
+  t.add_row({"peak footprint", format_bytes(static_cast<double>(l1.run.peak_rss_bytes))});
   t.add_row({"arithmetic intensity", Table::num(l1.arithmetic_intensity, 3) + " flop/B"});
   t.add_row({"mean DRAM bandwidth", Table::num(l1.mean_dram_gbps, 1) + " GB/s"});
   t.add_row({"scaling-curve skew", Table::num(l1.scaling_curve.skewness(), 3)});
   t.add_row({"hot set for 90% traffic",
              Table::pct(l1.scaling_curve.footprint_fraction_for(0.9)) + " of footprint"});
-  t.add_row({"prefetch accuracy", Table::pct(l1.prefetch.accuracy)});
-  t.add_row({"prefetch coverage", Table::pct(l1.prefetch.coverage)});
-  t.add_row({"prefetch excess traffic", Table::pct(l1.prefetch.excess_traffic)});
-  t.add_row({"prefetch performance gain", Table::pct(l1.prefetch.performance_gain)});
+  t.add_row({"prefetch accuracy", Table::pct(pf.accuracy)});
+  t.add_row({"prefetch coverage", Table::pct(pf.coverage)});
+  t.add_row({"prefetch excess traffic", Table::pct(pf.excess_traffic)});
+  t.add_row({"prefetch performance gain", Table::pct(pf.performance_gain)});
   t.print(std::cout);
   std::cout << "\nphases:\n";
   Table p({"phase", "time share", "AI", "Gflop/s", "DRAM GB/s"});
@@ -468,7 +469,7 @@ int cmd_level1(const Args& args, workloads::App app) {
       csv.add_row({Table::num(static_cast<double>(i) / 100.0, 2), Table::num(ys[i], 5)});
     std::cout << "\nscaling curve written to " << *args.csv_path << "\n";
   }
-  return l1.result.verified ? 0 : 1;
+  return l1.run.result.verified ? 0 : 1;
 }
 
 int cmd_level2(const Args& args, workloads::App app) {
@@ -503,7 +504,7 @@ int cmd_level3(const Args& args, workloads::App app) {
   core::MultiLevelProfiler profiler(rc);
   auto wl = workloads::make_workload(app, args.scale);
   // One profile cache for the whole command: the LoI levels re-price the
-  // sensitivity baseline's capture, and so does level3's own baseline run.
+  // baseline's capture.
   core::ProfileCache profiles;
   const core::ProfileScope scope(profiles);
   const auto l3 = profiler.level3(*wl, args.ratio, args.lois);
@@ -878,9 +879,9 @@ int cmd_report(const Args& args) {
   for (const auto app : workloads::kAllApps) {
     auto wl = workloads::make_workload(app, args.scale);
     const auto l1 = profiler.level1(*wl);
-    all_ok = all_ok && l1.result.verified;
-    t.add_row({wl->name(), l1.result.verified ? "yes" : "NO",
-               Table::num(l1.elapsed_s * 1e3, 3), Table::num(l1.arithmetic_intensity, 3),
+    all_ok = all_ok && l1.run.result.verified;
+    t.add_row({wl->name(), l1.run.result.verified ? "yes" : "NO",
+               Table::num(l1.run.elapsed_s * 1e3, 3), Table::num(l1.arithmetic_intensity, 3),
                Table::num(l1.mean_dram_gbps, 1), Table::num(l1.scaling_curve.skewness(), 3)});
   }
   t.print(std::cout);
