@@ -72,10 +72,8 @@ int main() {
     auto wl = workloads::make_workload(workloads::App::kNekRS, 1);
     sim::EngineConfig ecfg;
     ecfg.epoch_accesses = quantum;
-    sim::Engine eng(ecfg);
-    (void)wl->run(eng);
-    eng.finish();
-    d.add_row({std::to_string(quantum), Table::num(eng.elapsed_seconds() * 1e3, 3)});
+    const auto run = core::run_live(*wl, ecfg, /*prefetch_enabled=*/true);
+    d.add_row({std::to_string(quantum), Table::num(run.elapsed_s * 1e3, 3)});
   }
   d.print(std::cout);
   std::cout << "\nReading: throttling must be on to reproduce XSBench's low excess\n"

@@ -22,6 +22,7 @@
 
 #include "bench_util.h"
 #include "common/table.h"
+#include "core/experiment.h"
 #include "core/migration.h"
 #include "memsim/loi_schedule.h"
 #include "workloads/bfs.h"
@@ -50,16 +51,13 @@ Outcome run_bfs(memdis::workloads::BfsVariant variant,
   // Small epochs so the migration daemon gets frequent scan opportunities.
   cfg.epoch_accesses = 250'000;
   cfg.loi_schedule = g_schedule;
-  sim::Engine eng(cfg);
 
   core::MigrationRuntime runtime(migration ? *migration : core::MigrationConfig{});
-  if (migration != nullptr) runtime.attach(eng);
-
-  (void)bfs.run(eng);
-  eng.finish();
+  const auto run = core::run_live(bfs, cfg, /*prefetch_enabled=*/true,
+                                  migration != nullptr ? &runtime : nullptr);
 
   Outcome out;
-  for (const auto& phase : eng.phases()) {
+  for (const auto& phase : run.phases) {
     if (phase.tag != "p2") continue;
     out.p2_ms = phase.time_s * 1e3;
     const auto total = static_cast<double>(phase.counters.dram_bytes_total());

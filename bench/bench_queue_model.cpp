@@ -53,7 +53,6 @@ PlannedRun planned_run(LinkModelKind kind, bool defer) {
       memdis::core::machine_for_fabric("three-tier"), 0.5, wl->footprint_bytes());
   cfg.link_model = kind;
   cfg.epoch_accesses = 250'000;
-  memdis::sim::Engine eng(cfg);
 
   MigrationConfig mcfg;
   mcfg.period_epochs = 8;
@@ -62,16 +61,13 @@ PlannedRun planned_run(LinkModelKind kind, bool defer) {
   mcfg.min_heat = 1;
   mcfg.defer_on_self_congestion = defer;
   MigrationRuntime runtime(mcfg);
-  runtime.attach(eng);
-
-  (void)wl->run(eng);
-  eng.finish();
+  const auto run = memdis::core::run_live(*wl, cfg, /*prefetch_enabled=*/true, &runtime);
 
   PlannedRun out;
-  out.elapsed_ms = eng.elapsed_seconds() * 1e3;
+  out.elapsed_ms = run.elapsed_s * 1e3;
   out.self_deferred = runtime.self_deferred_moves();
   double burst_s = 0.0, burst_infl_s = 0.0;
-  for (const auto& e : eng.epochs()) {
+  for (const auto& e : run.epochs) {
     std::uint64_t bulk = 0;
     for (const auto b : e.migration_bytes) bulk += b;
     if (bulk == 0) continue;

@@ -63,9 +63,7 @@ int main() {
   sim::EngineConfig ecfg;
   ecfg.machine = machine;
   ecfg.default_policy_override = memsim::MemPolicy::interleave({4, 2, 1});
-  sim::Engine eng(ecfg);
-  (void)wl2->run(eng);
-  eng.finish();
+  const auto interleaved = core::run_live(*wl2, ecfg, /*prefetch_enabled=*/true);
 
   Table t({"placement", "time (ms)", "%t0 (hbm)", "%t1 (ddr)", "%t2 (pool)"});
   const auto share = [](const cachesim::HwCounters& c, memsim::TierId tier) {
@@ -76,9 +74,10 @@ int main() {
              Table::pct(share(first_touch.counters, 0)),
              Table::pct(share(first_touch.counters, 1)),
              Table::pct(share(first_touch.counters, 2))});
-  t.add_row({"interleave 4:2:1", Table::num(eng.elapsed_seconds() * 1e3, 3),
-             Table::pct(share(eng.counters(), 0)), Table::pct(share(eng.counters(), 1)),
-             Table::pct(share(eng.counters(), 2))});
+  t.add_row({"interleave 4:2:1", Table::num(interleaved.elapsed_s * 1e3, 3),
+             Table::pct(share(interleaved.counters, 0)),
+             Table::pct(share(interleaved.counters, 1)),
+             Table::pct(share(interleaved.counters, 2))});
   t.print(std::cout);
 
   std::cout << "\nReading: the interleave streams from all three tiers at once, so\n"

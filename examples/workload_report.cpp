@@ -8,7 +8,7 @@
 #include <iostream>
 
 #include "common/table.h"
-#include "sim/engine.h"
+#include "core/experiment.h"
 #include "workloads/workload.h"
 
 int main(int argc, char** argv) {
@@ -20,23 +20,20 @@ int main(int argc, char** argv) {
 
   for (const auto app : workloads::kAllApps) {
     auto wl = workloads::make_workload(app, scale);
-    sim::EngineConfig cfg;
-    sim::Engine eng(cfg);
     const auto t0 = std::chrono::steady_clock::now();
-    const auto result = wl->run(eng);
-    eng.finish();
+    const auto run = core::run_live(*wl, sim::EngineConfig{}, /*prefetch_enabled=*/true);
     const auto t1 = std::chrono::steady_clock::now();
     const double wall = std::chrono::duration<double>(t1 - t0).count();
 
-    const auto& c = eng.counters();
-    table.add_row({wl->name(), result.verified ? "yes" : "NO",
-                   Table::num(eng.elapsed_seconds() * 1e3, 3),
-                   Table::num(static_cast<double>(eng.total_flops()) * 1e-9, 3),
+    const auto& c = run.counters;
+    table.add_row({wl->name(), run.result.verified ? "yes" : "NO",
+                   Table::num(run.elapsed_s * 1e3, 3),
+                   Table::num(static_cast<double>(run.flops) * 1e-9, 3),
                    Table::num(static_cast<double>(c.dram_bytes_total()) * 1e-9, 3),
                    Table::num(static_cast<double>(c.accesses()) * 1e-6, 1),
                    Table::pct(static_cast<double>(c.l1_hits) /
                               static_cast<double>(c.accesses())),
-                   Table::num(wall, 2), result.detail});
+                   Table::num(wall, 2), run.result.detail});
   }
   table.print(std::cout);
   return 0;

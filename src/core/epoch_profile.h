@@ -13,10 +13,10 @@
 //
 // The separation is real because epoch boundaries close on *demand access
 // counts* (plus phase markers and finish), never on simulated time, and —
-// absent a migration runtime or epoch callback, which only scenario code
-// wires up below this layer — nothing reads a duration back into a
-// placement or cache decision. So one full simulation per functional key
-// captures per-epoch counter deltas (an EpochProfile), and every other
+// absent a migration runtime, which only core::run_live attaches —
+// nothing reads a duration back into a placement or cache decision. So
+// one full simulation per functional key captures per-epoch counter
+// deltas (an EpochProfile), and every other
 // grid point sharing the key is *re-priced*: the per-link cost model
 // (sim::price_epoch — the very implementation close_epoch runs) is folded
 // over the profile's epochs under the new link state. Under the queue
@@ -30,9 +30,9 @@
 // Eligibility: a run reprices only through core::run_workload, while a
 // ProfileCache is bound to its thread (run_sweep binds one per sweep,
 // `memdis level3` one per command), with a workload that publishes a
-// functional id. Migration runtimes and epoch callbacks never reach
-// run_workload (scenario code builds those engines directly), so
-// ineligible points fall back to full simulation silently and correctly.
+// functional id. Planner runs call run_live directly and never reach
+// run_workload, so run_live with a planner never reprices; ineligible
+// points fall back to full simulation silently and correctly.
 #pragma once
 
 #include <cstdint>

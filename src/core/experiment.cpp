@@ -3,6 +3,7 @@
 #include "common/contract.h"
 #include "common/units.h"
 #include "core/epoch_profile.h"
+#include "core/migration.h"
 
 namespace memdis::core {
 
@@ -43,15 +44,11 @@ memsim::MachineConfig machine_with_spill(const memsim::MachineConfig& machine, d
   return machine.with_capacity_fractions(fractions, footprint_bytes);
 }
 
-namespace {
-
-/// Full simulation of one configured engine: the reference path every run
-/// takes outside a ProfileScope or when it is ineligible, and the capture
-/// path that records an EpochProfile inside one.
 RunOutput run_live(workloads::Workload& workload, const sim::EngineConfig& ecfg,
-                   bool prefetch_enabled) {
+                   bool prefetch_enabled, MigrationRuntime* planner) {
   sim::Engine eng(ecfg);
   eng.set_prefetch_enabled(prefetch_enabled);
+  if (planner != nullptr) planner->attach(eng);
 
   RunOutput out;
   out.result = workload.run(eng);
@@ -79,8 +76,6 @@ RunOutput run_live(workloads::Workload& workload, const sim::EngineConfig& ecfg,
   return out;
 }
 
-}  // namespace
-
 RunOutput run_workload(workloads::Workload& workload, const RunConfig& cfg) {
   sim::EngineConfig ecfg;
   ecfg.machine = cfg.machine;
@@ -102,9 +97,8 @@ RunOutput run_workload(workloads::Workload& workload, const RunConfig& cfg) {
   // (workload id + shaped machine + hierarchy + prefetch switch) the bound
   // cache already captured are re-priced in O(epochs) under this config's
   // timing half. The workload must publish a param-complete functional
-  // id. Engines with migration runtimes or epoch callbacks are built by
-  // scenario code directly and never pass through here, so those runs
-  // fall back to full simulation silently and correctly.
+  // id. Planner runs call run_live directly and never pass through here,
+  // so run_live with a planner never reprices.
   if (ProfileCache* cache = ProfileScope::current()) {
     const std::string id = workload.functional_id();
     if (!id.empty()) {

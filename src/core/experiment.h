@@ -98,7 +98,19 @@ struct RunOutput {
                                                        double ratio,
                                                        std::uint64_t footprint_bytes);
 
-/// Runs `workload` under `cfg` and captures the full profile.
+class MigrationRuntime;
+
+/// The one live run path: builds a sim::Engine from `ecfg`, sets the
+/// prefetch switch, attaches `planner` when given (it must outlive the
+/// call and is read back by the caller), runs `workload`, finishes the
+/// engine and captures the full profile. Always simulates — it never
+/// consults a ProfileCache, so a run with a planner is never repriced.
+[[nodiscard]] RunOutput run_live(workloads::Workload& workload, const sim::EngineConfig& ecfg,
+                                 bool prefetch_enabled, MigrationRuntime* planner = nullptr);
+
+/// Runs `workload` under `cfg` and captures the full profile: run_live on
+/// the shaped engine config, or — inside a ProfileScope, for workloads
+/// with a functional id — a reprice of an already captured profile.
 [[nodiscard]] RunOutput run_workload(workloads::Workload& workload, const RunConfig& cfg);
 
 /// Per-phase remote access ratio helper (bytes to pool / all DRAM bytes).

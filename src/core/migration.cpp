@@ -110,24 +110,19 @@ void MigrationRuntime::on_epoch(sim::Engine& eng) {
   for (memsim::TierId t = 0; t < n; ++t)
     tier_lat[static_cast<std::size_t>(t)] =
         scheduled
-            ? model.scheduled_access_latency_s(t, schedule, now_epoch, cfg_.horizon_epochs)
+            ? model.scheduled_access_latency_s(t, schedule, now_epoch, kPlanHorizonEpochs)
             : lat_model.access_latency_s(t);
 
-  const std::uint64_t sample_period =
-      std::max<std::uint64_t>(1, eng.config().page_sample_period);
   // Heat is collected per scan window, so the amortization horizon is
   // expressed in scan windows too.
   const std::uint64_t horizon_scans = std::max<std::uint64_t>(
-      1, cfg_.horizon_epochs / std::max<std::uint64_t>(1, cfg_.period_epochs));
-  // tier_lat already holds each tier's (horizon-averaged) latency, so
-  // scheduled plans reuse it instead of re-integrating the waveform per
-  // candidate pair.
+      1, kPlanHorizonEpochs / std::max<std::uint64_t>(1, cfg_.period_epochs));
+  // Every plan prices its benefit at tier_lat (the live, demand-view or
+  // horizon-averaged latency of each tier), computed once per scan.
   const auto make_plan = [&](memsim::TierId src, memsim::TierId dst, std::uint64_t heat) {
-    return scheduled || demand_view
-               ? model.plan_with_latencies(src, dst, heat, horizon_scans, sample_period,
-                                           tier_lat[static_cast<std::size_t>(src)],
-                                           tier_lat[static_cast<std::size_t>(dst)])
-               : model.plan(src, dst, heat, horizon_scans, sample_period);
+    return model.plan(src, dst, heat, horizon_scans, sim::kPageSamplePeriod,
+                      tier_lat[static_cast<std::size_t>(src)],
+                      tier_lat[static_cast<std::size_t>(dst)]);
   };
 
   // Recent heat = histogram delta since the last scan. Every resident page
@@ -199,7 +194,7 @@ void MigrationRuntime::on_epoch(sim::Engine& eng) {
     // link can carry over the scan horizon.
     const double bw =
         scheduled ? model.scheduled_link_bandwidth_gbps(t, schedule, now_epoch,
-                                                        cfg_.horizon_epochs)
+                                                        kPlanHorizonEpochs)
                   : model.effective_link_bandwidth_gbps(t);
     const double share = bw / model.raw_link_bandwidth_gbps(t);
     seg_budget[static_cast<std::size_t>(t)] = std::max<std::uint64_t>(
@@ -238,7 +233,7 @@ void MigrationRuntime::on_epoch(sim::Engine& eng) {
     const double true_cost =
         &truth == &model ? plan.cost_s : truth.move_cost_s(plan.src, plan.dst);
     transfer_cost_s_ += true_cost;
-    if (cfg_.charge_transfer_cost) eng.charge_migration_seconds(true_cost);
+    eng.charge_migration_seconds(true_cost);
     for (const memsim::TierId s : plan.segments) {
       eng.charge_migration_bytes(s, page_bytes);
       self_bytes[static_cast<std::size_t>(s)] += page_bytes;
@@ -251,7 +246,6 @@ void MigrationRuntime::on_epoch(sim::Engine& eng) {
   // a later epoch beats acting now — net of the benefit epochs lost while
   // waiting. A belief-limited (assumed_loi) planner cannot defer: it does
   // not know the schedule.
-  const bool can_defer = cfg_.defer_on_schedule && scheduled;
   std::vector<std::pair<std::vector<double>, MigrationCostModel>> future_models;
   const auto future_cost = [&](const std::vector<double>& loi_vec, memsim::TierId src,
                                memsim::TierId dst) {
@@ -261,7 +255,7 @@ void MigrationRuntime::on_epoch(sim::Engine& eng) {
     return future_models.back().second.move_cost_s(src, dst);
   };
   const auto defer_pays = [&](const MovePlan& plan) {
-    if (!can_defer) return false;
+    if (!scheduled) return false;
     const std::uint64_t period = std::max<std::uint64_t>(1, cfg_.period_epochs);
     double best = plan.value_s;
     bool defer = false;
@@ -270,7 +264,7 @@ void MigrationRuntime::on_epoch(sim::Engine& eng) {
     // times — pricing in-between epochs would defer toward moments the
     // planner can never act at (and, when the wave aligns with the scan
     // cadence, starve the move forever chasing them).
-    for (std::uint64_t scans_ahead = 1; scans_ahead * period <= cfg_.horizon_epochs;
+    for (std::uint64_t scans_ahead = 1; scans_ahead * period <= kPlanHorizonEpochs;
          ++scans_ahead) {
       // Waiting forfeits the benefit of the scan windows skipped.
       if (scans_ahead >= horizon_scans) break;
@@ -404,7 +398,6 @@ void MigrationRuntime::on_epoch(sim::Engine& eng) {
         continue;
       }
       if (mem.free_bytes(plan.dst) < page_bytes) {
-        if (!cfg_.enable_demotion) continue;
         if (!make_room_on(plan.dst, cand.heat, plan.segments)) continue;
         if (!segments_affordable(plan.segments)) continue;
       }

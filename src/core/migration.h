@@ -16,7 +16,8 @@
 //    direct path is exhausted the planner falls back to the best feasible
 //    shorter hop (and vice versa: staging can be disabled to force direct
 //    moves only);
-//  * demotion victims go to the cheapest fabric tier by the same pricing,
+//  * a full destination makes room by demoting its coldest page, and
+//    demotion victims go to the cheapest fabric tier by the same pricing,
 //    so under asymmetric LoI cold pages avoid the loaded link;
 //  * transfer time is charged to the engine's epoch timeline
 //    (Engine::charge_migration_seconds), so aggressive cadences pay for
@@ -37,36 +38,33 @@
 
 namespace memdis::core {
 
+/// Expected residency (epochs) over which a move's stall savings are
+/// amortized against its transfer cost; also the lookahead window of the
+/// schedule-aware pricing and burst deferral.
+inline constexpr std::uint64_t kPlanHorizonEpochs = 16;
+
 struct MigrationConfig {
   std::uint64_t period_epochs = 4;       ///< scan cadence (epochs)
   std::uint64_t max_pages_per_scan = 64; ///< promotion budget per scan
   std::uint64_t min_heat = 8;            ///< samples before a page is "hot"
-  bool enable_demotion = true;           ///< make room by demoting cold pages
   /// Permit moves that end on an intermediate fabric tier (multi-hop
   /// staging across scans). When false the planner only considers direct
   /// moves to the node tier — the pre-cost-model behavior.
   bool allow_staging = true;
-  /// Expected residency (epochs) over which a move's stall savings are
-  /// amortized against its transfer cost.
-  std::uint64_t horizon_epochs = 16;
   /// Per-scan page budget of each fabric segment; 0 derives it from
   /// max_pages_per_scan. Models migration traffic stealing link bandwidth.
   std::uint64_t link_budget_pages = 0;
-  /// Charge migration transfer time to the engine's epoch timeline.
-  bool charge_transfer_cost = true;
   /// When non-empty, the planner prices moves and scales segment budgets
   /// against this *fixed* per-link LoI vector (indexed by TierId) instead
   /// of the links' live levels — a planner provisioned with static QoS
   /// information, e.g. the time average of a bursty schedule. Executed
   /// moves are still charged at the links' true current state, so a
-  /// mispriced plan pays the real congestion it ignored.
-  std::vector<double> assumed_loi;
-  /// Under a time-varying LoI schedule, defer a move whenever evaluating
-  /// the schedule over the next horizon_epochs finds an epoch where the
+  /// mispriced plan pays the real congestion it ignored. A live-priced
+  /// planner under a LoI schedule instead defers a move whenever the
+  /// schedule over the next kPlanHorizonEpochs finds an epoch where the
   /// move's path is enough cheaper to beat acting now (net of the benefit
   /// epochs lost waiting) — the planner arbitraging a congestion burst.
-  /// No-op without a schedule or with a static assumed_loi belief.
-  bool defer_on_schedule = true;
+  std::vector<double> assumed_loi;
   /// Under the queue link model, re-price each candidate against the bulk
   /// traffic this scan has *already scheduled* on the candidate's path
   /// (self-induced congestion) and defer the move when the inflated cost

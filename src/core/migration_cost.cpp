@@ -61,29 +61,6 @@ double MigrationCostModel::move_cost_s(memsim::TierId src, memsim::TierId dst) c
   return cost;
 }
 
-double MigrationCostModel::benefit_s_per_epoch(memsim::TierId src, memsim::TierId dst,
-                                               std::uint64_t heat,
-                                               std::uint64_t sample_period) const {
-  const double overlap = machine_.mlp * static_cast<double>(machine_.threads);
-  const double accesses =
-      static_cast<double>(heat) * static_cast<double>(sample_period == 0 ? 1 : sample_period);
-  return accesses * (access_latency_s(src) - access_latency_s(dst)) / overlap;
-}
-
-MovePlan MigrationCostModel::plan(memsim::TierId src, memsim::TierId dst, std::uint64_t heat,
-                                  std::uint64_t horizon_epochs,
-                                  std::uint64_t sample_period) const {
-  MovePlan p;
-  p.src = src;
-  p.dst = dst;
-  p.heat = heat;
-  p.segments = segments(src, dst);
-  p.cost_s = move_cost_s(src, dst);
-  p.benefit_s_per_epoch = benefit_s_per_epoch(src, dst, heat, sample_period);
-  p.value_s = static_cast<double>(horizon_epochs) * p.benefit_s_per_epoch - p.cost_s;
-  return p;
-}
-
 double MigrationCostModel::scheduled_access_latency_s(memsim::TierId t,
                                                       const memsim::LoiSchedule& schedule,
                                                       std::uint64_t from_epoch,
@@ -117,25 +94,9 @@ double MigrationCostModel::scheduled_link_bandwidth_gbps(memsim::TierId t,
   return sum / static_cast<double>(window_epochs);
 }
 
-MovePlan MigrationCostModel::plan_under_schedule(memsim::TierId src, memsim::TierId dst,
-                                                 std::uint64_t heat,
-                                                 std::uint64_t horizon_epochs,
-                                                 std::uint64_t sample_period,
-                                                 const memsim::LoiSchedule& schedule,
-                                                 std::uint64_t from_epoch,
-                                                 std::uint64_t window_epochs) const {
-  return plan_with_latencies(
-      src, dst, heat, horizon_epochs, sample_period,
-      scheduled_access_latency_s(src, schedule, from_epoch, window_epochs),
-      scheduled_access_latency_s(dst, schedule, from_epoch, window_epochs));
-}
-
-MovePlan MigrationCostModel::plan_with_latencies(memsim::TierId src, memsim::TierId dst,
-                                                 std::uint64_t heat,
-                                                 std::uint64_t horizon_epochs,
-                                                 std::uint64_t sample_period,
-                                                 double src_latency_s,
-                                                 double dst_latency_s) const {
+MovePlan MigrationCostModel::plan(memsim::TierId src, memsim::TierId dst, std::uint64_t heat,
+                                  std::uint64_t horizon_epochs, std::uint64_t sample_period,
+                                  double src_latency_s, double dst_latency_s) const {
   MovePlan p;
   p.src = src;
   p.dst = dst;

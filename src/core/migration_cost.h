@@ -7,7 +7,7 @@
 //
 //   move_cost(src, dst)  = sum over crossed fabric segments of
 //                          page_bytes / BW_eff(segment) + lat_eff(segment)
-//   benefit(src, dst, h) = h * (lat_eff(src) - lat_eff(dst)) * w / (MLP*T)
+//   benefit(src, dst, h) = h * (lat(src) - lat(dst)) * w / (MLP*T)
 //                          per epoch, for a page with h sampled accesses
 //   plan_value           = horizon * benefit - move_cost
 //
@@ -65,18 +65,17 @@ class MigrationCostModel {
   /// plus one effective-latency round trip (move_pages setup).
   [[nodiscard]] double move_cost_s(memsim::TierId src, memsim::TierId dst) const;
 
-  /// Demand-stall time saved per epoch by serving a page's `heat` sampled
-  /// accesses from `dst` instead of `src`; negative when `dst` is slower.
-  /// Sampled heat is scaled back up by the PEBS sample period.
-  [[nodiscard]] double benefit_s_per_epoch(memsim::TierId src, memsim::TierId dst,
-                                           std::uint64_t heat,
-                                           std::uint64_t sample_period = 1) const;
-
-  /// Full plan for one page: cost, per-epoch benefit, and net value
-  /// amortized over `horizon_epochs` of expected residency.
+  /// Full plan for one page moving `src` -> `dst`: transfer cost at this
+  /// model's link state (the move happens now), per-epoch benefit of
+  /// serving its `heat` sampled accesses (scaled back up by the PEBS
+  /// sample period) at `dst_latency_s` instead of `src_latency_s`, and net
+  /// value amortized over `horizon_epochs` of expected residency. The
+  /// planner passes each tier's latency as it prices it: access_latency_s
+  /// of this or a demand-view model, or the horizon average under a LoI
+  /// schedule (computed once per scan, reused across candidate pairs).
   [[nodiscard]] MovePlan plan(memsim::TierId src, memsim::TierId dst, std::uint64_t heat,
-                              std::uint64_t horizon_epochs,
-                              std::uint64_t sample_period = 1) const;
+                              std::uint64_t horizon_epochs, std::uint64_t sample_period,
+                              double src_latency_s, double dst_latency_s) const;
 
   /// Access latency of tier `t` averaged over the next `window_epochs`
   /// epochs of a time-varying LoI schedule (starting at `from_epoch`).
@@ -97,27 +96,6 @@ class MigrationCostModel {
                                                      const memsim::LoiSchedule& schedule,
                                                      std::uint64_t from_epoch,
                                                      std::uint64_t window_epochs) const;
-
-  /// Plan variant for runs under a LoI schedule: transfer cost is priced
-  /// at this model's (live) link state — the move happens now — while the
-  /// per-epoch benefit integrates the schedule over `window_epochs`, so
-  /// the value reflects what the destination will cost across upcoming
-  /// bursts, not just at this instant.
-  [[nodiscard]] MovePlan plan_under_schedule(memsim::TierId src, memsim::TierId dst,
-                                             std::uint64_t heat, std::uint64_t horizon_epochs,
-                                             std::uint64_t sample_period,
-                                             const memsim::LoiSchedule& schedule,
-                                             std::uint64_t from_epoch,
-                                             std::uint64_t window_epochs) const;
-
-  /// Same plan shape with caller-supplied access latencies (seconds) for
-  /// src and dst — the per-scan planner computes every tier's
-  /// horizon-averaged latency once and reuses it across all candidate
-  /// plans instead of re-integrating the schedule per pair.
-  [[nodiscard]] MovePlan plan_with_latencies(memsim::TierId src, memsim::TierId dst,
-                                             std::uint64_t heat, std::uint64_t horizon_epochs,
-                                             std::uint64_t sample_period, double src_latency_s,
-                                             double dst_latency_s) const;
 
   /// Fabric segments crossed by a src->dst move (topology upstream tree).
   [[nodiscard]] std::vector<memsim::TierId> segments(memsim::TierId src,

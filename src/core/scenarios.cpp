@@ -421,18 +421,13 @@ std::vector<Metric> measure_ext_interleave(const SweepPoint& point) {
   cfg.machine = machine_for_fabric(point.fabric);
   cfg.default_policy_override = policy_of(point.variant);
   cfg.link_model = point.link_model;
-  sim::Engine eng(cfg);
-  (void)wl->run(eng);
-  eng.finish();
-  const auto& c = eng.counters();
-  const double seconds = eng.elapsed_seconds();
+  const RunOutput run = run_live(*wl, cfg, point.prefetch);
+  const double seconds = run.elapsed_s;
   const double agg_gbps =
-      seconds > 0 ? static_cast<double>(c.dram_bytes_total()) / seconds / 1e9 : 0.0;
-  const double remote = c.dram_bytes_total() > 0
-                            ? static_cast<double>(c.fabric_dram_bytes()) /
-                                  static_cast<double>(c.dram_bytes_total())
-                            : 0.0;
-  return {{"time_ms", seconds * 1e3}, {"agg_dram_gbps", agg_gbps}, {"remote_share", remote}};
+      seconds > 0 ? static_cast<double>(run.counters.dram_bytes_total()) / seconds / 1e9 : 0.0;
+  return {{"time_ms", seconds * 1e3},
+          {"agg_dram_gbps", agg_gbps},
+          {"remote_share", run.remote_access_ratio()}};
 }
 
 void summarize_ext_interleave(const SweepResult& result, std::ostream& os) {
@@ -574,28 +569,27 @@ std::vector<double> per_link_loi_of(const std::string& variant) {
   return {};  // idle
 }
 
-/// One migration-runtime run of the point's workload on its (capacity
-/// shaped) topology, with staging allowed or restricted to direct moves.
-struct StagedRun {
-  double elapsed_ms = 0.0;
-  double transfer_cost_ms = 0.0;
-  std::uint64_t staged_moves = 0;
-  std::uint64_t promoted = 0;
-  std::uint64_t demoted = 0;
-};
-
-StagedRun run_with_planner(const SweepPoint& point, bool allow_staging) {
+/// One planner run of the point's workload on the engine config the
+/// planner scenarios share: the point's fabric with its spill shaped
+/// (node-only points spill half), the point's link model, and small epochs
+/// so the daemon gets frequent scan opportunities — plus the scenario's
+/// static per-link LoI and LoI schedule. The planner's counters are read
+/// back from `runtime`.
+RunOutput run_planner(const SweepPoint& point, MigrationRuntime& runtime,
+                      std::vector<double> loi_per_tier = {},
+                      const memsim::LoiSchedule& schedule = {}) {
   auto wl = point.make_workload();
   sim::EngineConfig cfg;
   const double r = point.ratio == kNodeOnly ? 0.5 : point.ratio;
-  cfg.machine =
-      machine_with_spill(machine_for_fabric(point.fabric), r, wl->footprint_bytes());
-  cfg.background_loi_per_tier = per_link_loi_of(point.variant);
+  cfg.machine = machine_with_spill(machine_for_fabric(point.fabric), r, wl->footprint_bytes());
+  cfg.background_loi_per_tier = std::move(loi_per_tier);
+  cfg.loi_schedule = schedule;
   cfg.link_model = point.link_model;
-  // Small epochs so the daemon gets frequent scan opportunities.
   cfg.epoch_accesses = 250'000;
-  sim::Engine eng(cfg);
+  return run_live(*wl, cfg, point.prefetch, &runtime);
+}
 
+std::vector<Metric> measure_ext_staged_migration(const SweepPoint& point) {
   MigrationConfig mcfg;
   mcfg.period_epochs = 1;
   mcfg.max_pages_per_scan = 16;
@@ -606,33 +600,21 @@ StagedRun run_with_planner(const SweepPoint& point, bool allow_staging) {
   // the switch segment (staging up, or evacuating hot pages around the
   // loaded link) is the only move the cost model can still afford.
   mcfg.link_budget_pages = 2;
-  mcfg.allow_staging = allow_staging;
-  MigrationRuntime runtime(mcfg);
-  runtime.attach(eng);
-
-  (void)wl->run(eng);
-  eng.finish();
-
-  StagedRun out;
-  out.elapsed_ms = eng.elapsed_seconds() * 1e3;
-  out.transfer_cost_ms = runtime.transfer_cost_s() * 1e3;
-  out.staged_moves = runtime.staged_moves();
-  out.promoted = runtime.pages_promoted();
-  out.demoted = runtime.pages_demoted();
-  return out;
-}
-
-std::vector<Metric> measure_ext_staged_migration(const SweepPoint& point) {
-  const StagedRun direct = run_with_planner(point, /*allow_staging=*/false);
-  const StagedRun staged = run_with_planner(point, /*allow_staging=*/true);
-  return {{"direct_ms", direct.elapsed_ms},
-          {"staged_ms", staged.elapsed_ms},
-          {"staged_gain", staged.elapsed_ms > 0 ? direct.elapsed_ms / staged.elapsed_ms : 1.0},
-          {"staged_moves", static_cast<double>(staged.staged_moves)},
-          {"staged_promoted", static_cast<double>(staged.promoted)},
-          {"direct_promoted", static_cast<double>(direct.promoted)},
-          {"staged_cost_ms", staged.transfer_cost_ms},
-          {"direct_cost_ms", direct.transfer_cost_ms}};
+  mcfg.allow_staging = false;
+  MigrationRuntime direct(mcfg);
+  mcfg.allow_staging = true;
+  MigrationRuntime staged(mcfg);
+  const std::vector<double> loi = per_link_loi_of(point.variant);
+  const double direct_ms = run_planner(point, direct, loi).elapsed_s * 1e3;
+  const double staged_ms = run_planner(point, staged, loi).elapsed_s * 1e3;
+  return {{"direct_ms", direct_ms},
+          {"staged_ms", staged_ms},
+          {"staged_gain", staged_ms > 0 ? direct_ms / staged_ms : 1.0},
+          {"staged_moves", static_cast<double>(staged.staged_moves())},
+          {"staged_promoted", static_cast<double>(staged.pages_promoted())},
+          {"direct_promoted", static_cast<double>(direct.pages_promoted())},
+          {"staged_cost_ms", staged.transfer_cost_s() * 1e3},
+          {"direct_cost_ms", direct.transfer_cost_s() * 1e3}};
 }
 
 void summarize_ext_staged_migration(const SweepResult& result, std::ostream& os) {
@@ -669,66 +651,32 @@ memsim::LoiSchedule transient_schedule_of(const std::string& variant) {
   return schedule;
 }
 
-struct TransientRun {
-  double elapsed_ms = 0.0;
-  double transfer_cost_ms = 0.0;
-  std::uint64_t promoted = 0;
-  std::uint64_t staged = 0;
-  std::uint64_t deferred = 0;
-};
-
-/// One planner run under the bursty schedule. With an empty `assumed_loi`
-/// the planner prices every scan at the links' live state (and may defer
-/// across bursts); a non-empty vector models a planner provisioned with
-/// only the wave's time average — both runs *experience* the same wave.
-TransientRun run_under_wave(const SweepPoint& point, const memsim::LoiSchedule& schedule,
-                            std::vector<double> assumed_loi) {
-  auto wl = point.make_workload();
-  sim::EngineConfig cfg;
-  const double r = point.ratio == kNodeOnly ? 0.5 : point.ratio;
-  cfg.machine = machine_with_spill(machine_for_fabric(point.fabric), r, wl->footprint_bytes());
-  cfg.loi_schedule = schedule;
-  cfg.link_model = point.link_model;
-  cfg.epoch_accesses = 250'000;  // frequent scan opportunities
-  sim::Engine eng(cfg);
-
+/// Two planner runs under the bursty schedule; both *experience* the same
+/// wave. The dynamic planner prices every scan at the links' live state
+/// (and may defer across bursts); the static one is provisioned with only
+/// the wave's time average on the device link — what a QoS provisioner
+/// without runtime telemetry would plan against.
+std::vector<Metric> measure_ext_transient_loi(const SweepPoint& point) {
+  const memsim::LoiSchedule schedule = transient_schedule_of(point.variant);
   MigrationConfig mcfg;
   mcfg.period_epochs = 1;
   mcfg.max_pages_per_scan = 64;
   mcfg.link_budget_pages = 64;
   mcfg.min_heat = 4;
-  mcfg.assumed_loi = std::move(assumed_loi);
-  MigrationRuntime runtime(mcfg);
-  runtime.attach(eng);
-
-  (void)wl->run(eng);
-  eng.finish();
-
-  TransientRun out;
-  out.elapsed_ms = eng.elapsed_seconds() * 1e3;
-  out.transfer_cost_ms = runtime.transfer_cost_s() * 1e3;
-  out.promoted = runtime.pages_promoted();
-  out.staged = runtime.staged_moves();
-  out.deferred = runtime.deferred_moves();
-  return out;
-}
-
-std::vector<Metric> measure_ext_transient_loi(const SweepPoint& point) {
-  const memsim::LoiSchedule schedule = transient_schedule_of(point.variant);
-  const TransientRun dynamic = run_under_wave(point, schedule, {});
-  // The static belief: the wave's time average on the device link — what a
-  // QoS provisioner without runtime telemetry would plan against.
-  const double mean_loi = schedule.waveform(1)->mean();
-  const TransientRun fixed = run_under_wave(point, schedule, {0.0, mean_loi, 0.0});
-  return {{"dynamic_ms", dynamic.elapsed_ms},
-          {"static_ms", fixed.elapsed_ms},
-          {"dynamic_gain", dynamic.elapsed_ms > 0 ? fixed.elapsed_ms / dynamic.elapsed_ms : 1.0},
-          {"dynamic_deferred", static_cast<double>(dynamic.deferred)},
-          {"dynamic_staged", static_cast<double>(dynamic.staged)},
-          {"dynamic_promoted", static_cast<double>(dynamic.promoted)},
-          {"static_promoted", static_cast<double>(fixed.promoted)},
-          {"dynamic_cost_ms", dynamic.transfer_cost_ms},
-          {"static_cost_ms", fixed.transfer_cost_ms}};
+  MigrationRuntime dynamic(mcfg);
+  mcfg.assumed_loi = {0.0, schedule.waveform(1)->mean(), 0.0};
+  MigrationRuntime fixed(mcfg);
+  const double dynamic_ms = run_planner(point, dynamic, {}, schedule).elapsed_s * 1e3;
+  const double static_ms = run_planner(point, fixed, {}, schedule).elapsed_s * 1e3;
+  return {{"dynamic_ms", dynamic_ms},
+          {"static_ms", static_ms},
+          {"dynamic_gain", dynamic_ms > 0 ? static_ms / dynamic_ms : 1.0},
+          {"dynamic_deferred", static_cast<double>(dynamic.deferred_moves())},
+          {"dynamic_staged", static_cast<double>(dynamic.staged_moves())},
+          {"dynamic_promoted", static_cast<double>(dynamic.pages_promoted())},
+          {"static_promoted", static_cast<double>(fixed.pages_promoted())},
+          {"dynamic_cost_ms", dynamic.transfer_cost_s() * 1e3},
+          {"static_cost_ms", fixed.transfer_cost_s() * 1e3}};
 }
 
 void summarize_ext_transient_loi(const SweepResult& result, std::ostream& os) {
@@ -767,52 +715,18 @@ std::uint64_t scan_period_of(const std::string& variant) {
 /// *quiet* epochs (no bulk this epoch or within one estimator window
 /// before it); epochs in the taper between the two count as neither, so
 /// the burst/quiet contrast is not diluted by the window's decay.
-struct ContentionRun {
-  double elapsed_ms = 0.0;
+struct ContentionStats {
   double burst_infl = 1.0;   ///< time-mean demand-latency inflation while bulk flows
   double quiet_infl = 1.0;   ///< same far from bursts (exactly 1: no cross traffic)
   double burst_share = 0.0;  ///< fraction of wall time in burst epochs
   double migrated_mib = 0.0;
-  std::uint64_t promoted = 0;
-  std::uint64_t self_deferred = 0;
 };
 
-ContentionRun run_queue_contention(const SweepPoint& point, std::uint64_t scan_period,
-                                   bool defer) {
-  auto wl = point.make_workload();
-  sim::EngineConfig cfg;
-  const double r = point.ratio == kNodeOnly ? 0.5 : point.ratio;
-  cfg.machine = machine_with_spill(machine_for_fabric(point.fabric), r, wl->footprint_bytes());
-  cfg.link_model = memsim::LinkModelKind::kQueue;  // the model under study
-  cfg.epoch_accesses = 250'000;
-  sim::Engine eng(cfg);
-
-  MigrationConfig mcfg;
-  mcfg.period_epochs = scan_period;  // long cadence => clumped bursts
-  mcfg.max_pages_per_scan = 512;     // big scans: the burst is the point
-  mcfg.link_budget_pages = 512;
-  mcfg.min_heat = 1;  // greedy low-value tail for the deferral to trim
-  mcfg.defer_on_self_congestion = defer;
-  MigrationRuntime runtime(mcfg);
-  runtime.attach(eng);
-
-  (void)wl->run(eng);
-  eng.finish();
-
-  int window = 1;
-  for (memsim::TierId t = 0; t < cfg.machine.num_tiers(); ++t)
-    if (cfg.machine.topology.is_fabric(t) && cfg.machine.tier(t).link)
-      window = std::max(window, cfg.machine.tier(t).link->queue_window_epochs);
-
-  ContentionRun out;
-  out.elapsed_ms = eng.elapsed_seconds() * 1e3;
-  out.promoted = runtime.pages_promoted();
-  out.self_deferred = runtime.self_deferred_moves();
-
+ContentionStats contention_stats(const std::vector<sim::EpochRecord>& epochs, int window) {
+  ContentionStats out;
   double burst_s = 0, burst_mult_s = 0, quiet_s = 0, quiet_mult_s = 0, total_s = 0;
   std::uint64_t total_bulk = 0;
   long long last_burst = -(window + 1);
-  const auto& epochs = eng.epochs();
   for (std::size_t i = 0; i < epochs.size(); ++i) {
     const auto& e = epochs[i];
     std::uint64_t bulk = 0;
@@ -841,11 +755,29 @@ ContentionRun run_queue_contention(const SweepPoint& point, std::uint64_t scan_p
 }
 
 std::vector<Metric> measure_ext_queue_contention(const SweepPoint& point) {
-  const std::uint64_t period = scan_period_of(point.variant);
-  const ContentionRun eager = run_queue_contention(point, period, /*defer=*/false);
-  const ContentionRun deferred = run_queue_contention(point, period, /*defer=*/true);
-  return {{"eager_ms", eager.elapsed_ms},
-          {"deferred_ms", deferred.elapsed_ms},
+  SweepPoint queued = point;
+  queued.link_model = memsim::LinkModelKind::kQueue;  // the model under study
+  MigrationConfig mcfg;
+  mcfg.period_epochs = scan_period_of(point.variant);  // long cadence => clumped bursts
+  mcfg.max_pages_per_scan = 512;                       // big scans: the burst is the point
+  mcfg.link_budget_pages = 512;
+  mcfg.min_heat = 1;  // greedy low-value tail for the deferral to trim
+  mcfg.defer_on_self_congestion = false;
+  MigrationRuntime eager_planner(mcfg);
+  mcfg.defer_on_self_congestion = true;
+  MigrationRuntime deferring_planner(mcfg);
+  const RunOutput eager_run = run_planner(queued, eager_planner);
+  const RunOutput deferred_run = run_planner(queued, deferring_planner);
+
+  const auto machine = machine_for_fabric(point.fabric);
+  int window = 1;
+  for (memsim::TierId t = 0; t < machine.num_tiers(); ++t)
+    if (machine.topology.is_fabric(t) && machine.tier(t).link)
+      window = std::max(window, machine.tier(t).link->queue_window_epochs);
+  const ContentionStats eager = contention_stats(eager_run.epochs, window);
+  const ContentionStats deferred = contention_stats(deferred_run.epochs, window);
+  return {{"eager_ms", eager_run.elapsed_s * 1e3},
+          {"deferred_ms", deferred_run.elapsed_s * 1e3},
           {"eager_burst_inflation", eager.burst_infl},
           {"eager_quiet_inflation", eager.quiet_infl},
           {"deferred_burst_inflation", deferred.burst_infl},
@@ -853,9 +785,9 @@ std::vector<Metric> measure_ext_queue_contention(const SweepPoint& point) {
           {"eager_burst_share", eager.burst_share},
           {"eager_migrated_mib", eager.migrated_mib},
           {"deferred_migrated_mib", deferred.migrated_mib},
-          {"eager_promoted", static_cast<double>(eager.promoted)},
-          {"deferred_promoted", static_cast<double>(deferred.promoted)},
-          {"self_deferred", static_cast<double>(deferred.self_deferred)}};
+          {"eager_promoted", static_cast<double>(eager_planner.pages_promoted())},
+          {"deferred_promoted", static_cast<double>(deferring_planner.pages_promoted())},
+          {"self_deferred", static_cast<double>(deferring_planner.self_deferred_moves())}};
 }
 
 void summarize_ext_queue_contention(const SweepResult& result, std::ostream& os) {

@@ -108,6 +108,12 @@ class TraceSink {
   virtual void on_phase(bool start, const std::string& tag) = 0;
 };
 
+/// Period of the per-page sampler feeding the bandwidth–capacity scaling
+/// curves (Fig. 6) and the migration planner's heat. Samples fire on L1
+/// misses — the event class PEBS demand-load sampling observes on the
+/// paper's testbed.
+inline constexpr std::uint64_t kPageSamplePeriod = 4;
+
 struct EngineConfig {
   memsim::MachineConfig machine = memsim::MachineConfig::skylake_testbed();
   cachesim::HierarchyConfig hierarchy{};
@@ -124,10 +130,6 @@ struct EngineConfig {
   /// exactly the static model — artifacts stay bit-identical.
   memsim::LoiSchedule loi_schedule;
   double stall_weight = 1.0;                 ///< scaling of the latency term
-  /// Period of the per-page sampler feeding the bandwidth–capacity scaling
-  /// curves (Fig. 6). Samples fire on L1 misses — the event class PEBS
-  /// demand-load sampling observes on the paper's testbed (1 = every miss).
-  std::uint64_t page_sample_period = 4;
   /// Overrides the placement policy of allocations that use the default
   /// (first-touch) policy — the `numactl` analogue: explicit bindings win,
   /// everything else follows the overridden system default. Used for the
@@ -428,8 +430,13 @@ class Engine {
   /// Installs a hook invoked after every closed epoch — the attachment
   /// point for runtime services such as the hot-page migration daemon
   /// (core::MigrationRuntime). The callback may inspect epochs() and the
-  /// page histogram and call memory().migrate().
-  void set_epoch_callback(std::function<void(Engine&)> cb) { epoch_cb_ = std::move(cb); }
+  /// page histogram and call memory().migrate(). An engine carries one
+  /// callback: installing a second is a contract violation, since it would
+  /// silently detach the first service.
+  void set_epoch_callback(std::function<void(Engine&)> cb) {
+    expects(!epoch_cb_, "an epoch callback is already installed");
+    epoch_cb_ = std::move(cb);
+  }
 
   /// Attaches (or with nullptr detaches) the trace recording sink. The sink
   /// observes public API calls only — never the engine's internal
@@ -461,7 +468,7 @@ class Engine {
     // so the Fig. 6 curves weigh pages by memory-system traffic, not raw
     // instruction count.
     if (level != cachesim::HitLevel::kL1 &&
-        ++page_sample_counter_ >= cfg_.page_sample_period) {
+        ++page_sample_counter_ >= kPageSamplePeriod) {
       page_sample_counter_ = 0;
       bump_page_hist(addr >> page_shift_);
     }

@@ -97,22 +97,25 @@ TEST(Determinism, TransientLoiParallelMatchesSerial) {
 // the sanitized lane still covers the fast path through the unit suite
 // (BulkApi) and the other scenario tests.
 
-/// fig06's grid (every app at scales 1/2/4), each point run the way its
-/// level-1 profile runs it: one workload instance, prefetch on then off.
+/// The scenario engines that run without a planner: fig06's grid (every
+/// app at scales 1/2/4) with the prefetcher on, the way its level-1 profile
+/// runs it, and fig08's six scale-1 points with the prefetcher off, the way
+/// its prefetch-off twin runs them. No scenario runs prefetch-off at scales
+/// 2 or 4, so those configurations are not replayed.
 TEST(Determinism, AppsBulkPathMatchesElementWise) {
 #ifdef MEMDIS_UNDER_ASAN
   GTEST_SKIP() << "double app runs exceed the sanitized scenario timeout";
 #endif
-  const auto* fig06 = core::ScenarioRegistry::instance().find("fig06");
-  ASSERT_NE(fig06, nullptr);
-  for (const auto& point : fig06->spec.expand()) {
-    SCOPED_TRACE(testing::Message() << workloads::app_name(point.app) << " x" << point.scale);
-    const core::RunConfig rc = point.run_config();
-    auto fast_wl = point.make_workload();
-    auto reference_wl = point.make_workload();
-    for (const bool prefetch : {true, false}) {
-      SCOPED_TRACE(prefetch ? "prefetch on" : "prefetch off");
-      const auto run = [&](workloads::Workload& wl, bool bulk) {
+  const auto check = [](const char* scenario, bool prefetch) {
+    const auto* registered = core::ScenarioRegistry::instance().find(scenario);
+    ASSERT_NE(registered, nullptr) << scenario;
+    for (const auto& point : registered->spec.expand()) {
+      SCOPED_TRACE(testing::Message() << scenario << " " << workloads::app_name(point.app)
+                                      << " x" << point.scale
+                                      << (prefetch ? " prefetch on" : " prefetch off"));
+      const core::RunConfig rc = point.run_config();
+      const auto run = [&](bool bulk) {
+        auto wl = point.make_workload();
         sim::EngineConfig cfg;
         cfg.machine = rc.machine;
         cfg.hierarchy = rc.hierarchy;
@@ -120,16 +123,18 @@ TEST(Determinism, AppsBulkPathMatchesElementWise) {
         cfg.bulk_fast_path = bulk;
         sim::Engine eng(cfg);
         eng.set_prefetch_enabled(prefetch);
-        return test::finish_run(eng, wl.run(eng));
+        return test::finish_run(eng, wl->run(eng));
       };
-      test::expect_same_run(run(*fast_wl, true), run(*reference_wl, false));
+      test::expect_same_run(run(true), run(false));
     }
-  }
+  };
+  check("fig06", true);
+  check("fig08", false);
 }
 
 /// The epoch-callback stack against batched runs: ext-transient-loi's
 /// engines (Hypre on three-tier at ratios 0.5/0.75 under both square
-/// waves, mirroring run_under_wave in core/scenarios.cpp) with the dynamic
+/// waves, mirroring measure_ext_transient_loi in core/scenarios.cpp) with the dynamic
 /// and the static-belief planner attached.
 TEST(Determinism, PlannerUnderWaveBulkPathMatchesElementWise) {
 #ifdef MEMDIS_UNDER_ASAN
@@ -179,7 +184,7 @@ TEST(Determinism, PlannerUnderWaveBulkPathMatchesElementWise) {
 
 /// The spec's link model must reach every engine a scenario builds. A
 /// planner scenario moves pages, so its bulk traffic makes the queue model
-/// visible in the artifacts (run_under_wave's engines); ext-interleave
+/// visible in the artifacts (ext-transient-loi's engines); ext-interleave
 /// prices fabric demand traffic into a `time_ms` column but moves no bulk
 /// traffic, so it stays byte-identical (the queue model's compat
 /// guarantee: zero cross-class rate is the closed form); and

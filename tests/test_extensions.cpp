@@ -101,6 +101,25 @@ TEST(EpochCallback, FiresOncePerClosedEpoch) {
   EXPECT_GT(fired, 4);
 }
 
+/// An engine carries one epoch service: a second install (a callback, or a
+/// planner attached after one) is refused and the first stays in place.
+TEST(EpochCallback, RefusesToReplaceAnInstalledCallback) {
+  sim::EngineConfig cfg;
+  cfg.epoch_accesses = 1000;
+  sim::Engine eng(cfg);
+  int first = 0, second = 0;
+  eng.set_epoch_callback([&](sim::Engine&) { ++first; });
+  EXPECT_THROW(eng.set_epoch_callback([&](sim::Engine&) { ++second; }), contract_violation);
+  core::MigrationRuntime runtime;
+  EXPECT_THROW(runtime.attach(eng), contract_violation);
+  sim::Array<double> a(eng, 16 * 1024);
+  for (std::size_t i = 0; i < a.size(); ++i) a.st(i, 0.0);
+  eng.finish();
+  EXPECT_EQ(static_cast<std::size_t>(first), eng.epochs().size());
+  EXPECT_EQ(second, 0);
+  EXPECT_EQ(runtime.scans(), 0u);
+}
+
 // ---------- migration runtime ----------------------------------------------------
 
 TEST(Migration, PromotesHotRemotePages) {

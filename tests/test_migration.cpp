@@ -76,14 +76,18 @@ TEST(MigrationCostModel, TwoHopBeatsOneHopExactlyWhenTheModelSaysSo) {
   const auto m = memsim::MachineConfig::three_tier_cxl();
   const core::MigrationCostModel model(m);
   const std::uint64_t horizon = 4;
+  const auto plan = [&](memsim::TierId src, memsim::TierId dst, std::uint64_t heat) {
+    return model.plan(src, dst, heat, horizon, 4, model.access_latency_s(src),
+                      model.access_latency_s(dst));
+  };
   // A lukewarm page cannot amortize the extra device-link segment of the
   // direct move: the staged first hop carries the higher net value.
-  const auto staged_cool = model.plan(2, 1, 20, horizon, 4);
-  const auto direct_cool = model.plan(2, 0, 20, horizon, 4);
+  const auto staged_cool = plan(2, 1, 20);
+  const auto direct_cool = plan(2, 0, 20);
   EXPECT_GT(staged_cool.value_s, direct_cool.value_s);
   // A hot page amortizes the full path: direct wins, exactly as priced.
-  const auto staged_hot = model.plan(2, 1, 500, horizon, 4);
-  const auto direct_hot = model.plan(2, 0, 500, horizon, 4);
+  const auto staged_hot = plan(2, 1, 500);
+  const auto direct_hot = plan(2, 0, 500);
   EXPECT_GT(direct_hot.value_s, staged_hot.value_s);
   // The crossover is the model's own statement: value difference equals
   // horizon * benefit-delta minus the device segment's cost.
@@ -399,37 +403,35 @@ TEST(TransientLoiScenario, DynamicPlannerStrictlyBeatsStaticBeliefOnEveryRow) {
 
 /// Deferral must wait out a burst the schedule can see: with a hot remote
 /// array and the pool link bursting now but idle within the horizon, the
-/// first loaded scans defer instead of paying the inflated transfer cost.
+/// loaded scans defer instead of paying the inflated transfer cost, so no
+/// promotion is ever charged the burst's price.
 TEST(TransientLoi, PlannerDefersAcrossAKnownBurst) {
-  const auto run = [](bool defer) {
-    sim::EngineConfig cfg;
-    cfg.epoch_accesses = 5'000;
-    // Burst for the first half of each 8-epoch period, heavily enough that
-    // moving mid-burst is clearly mispriced (bandwidth floor territory).
-    cfg.loi_schedule.set(1, memsim::LoiWaveform::square(8, 0.5, 400.0, 0.0));
-    sim::Engine eng(cfg);
-    core::MigrationConfig mcfg;
-    mcfg.period_epochs = 1;
-    mcfg.min_heat = 2;
-    mcfg.defer_on_schedule = defer;
-    core::MigrationRuntime runtime(mcfg);
-    runtime.attach(eng);
-    const std::uint64_t page = eng.memory().page_bytes();
-    // Large enough to defeat the cache hierarchy, so pages keep sampling
-    // heat on every pass (L1 hits never reach the page histogram).
-    sim::Array<std::uint8_t> hot(eng, 64 * page, memsim::MemPolicy::bind_pool());
-    for (int pass = 0; pass < 30; ++pass)
-      for (std::size_t i = 0; i < hot.size(); i += 64) hot.st(i, 1);
-    eng.finish();
-    EXPECT_GT(runtime.pages_promoted(), 0u);
-    return std::make_pair(runtime.deferred_moves(), runtime.transfer_cost_s());
-  };
-  const auto [deferred_on, cost_on] = run(true);
-  const auto [deferred_off, cost_off] = run(false);
-  EXPECT_GT(deferred_on, 0u);
-  EXPECT_EQ(deferred_off, 0u);
-  // Waiting for the idle half of the wave makes the executed moves cheaper.
-  EXPECT_LT(cost_on, cost_off);
+  sim::EngineConfig cfg;
+  cfg.epoch_accesses = 5'000;
+  // Burst for the first half of each 8-epoch period, heavily enough that
+  // moving mid-burst is clearly mispriced (bandwidth floor territory).
+  cfg.loi_schedule.set(1, memsim::LoiWaveform::square(8, 0.5, 400.0, 0.0));
+  sim::Engine eng(cfg);
+  core::MigrationConfig mcfg;
+  mcfg.period_epochs = 1;
+  mcfg.min_heat = 2;
+  core::MigrationRuntime runtime(mcfg);
+  runtime.attach(eng);
+  const std::uint64_t page = eng.memory().page_bytes();
+  // Large enough to defeat the cache hierarchy, so pages keep sampling
+  // heat on every pass (L1 hits never reach the page histogram).
+  sim::Array<std::uint8_t> hot(eng, 64 * page, memsim::MemPolicy::bind_pool());
+  for (int pass = 0; pass < 30; ++pass)
+    for (std::size_t i = 0; i < hot.size(); i += 64) hot.st(i, 1);
+  eng.finish();
+  EXPECT_GT(runtime.pages_promoted(), 0u);
+  EXPECT_GT(runtime.deferred_moves(), 0u);
+  const core::MigrationCostModel burst(cfg.machine, {0.0, 400.0});
+  for (const auto& move : runtime.plan_log()) {
+    if (move.demotion) continue;
+    EXPECT_LT(move.cost_s, burst.move_cost_s(move.src, move.dst))
+        << "page " << move.page << " promoted mid-burst at scan " << move.scan;
+  }
 }
 
 /// A belief-limited planner is charged at the links' true state: the same
@@ -517,30 +519,35 @@ TEST(MigrationAccounting, PageTableTracksPerPairBytes) {
   eng.finish();
 }
 
+/// Every priced transfer lands on the engine's timeline: the engine's
+/// charged migration time is the planner's transfer cost, and it reaches
+/// the elapsed time through the closed epochs' durations.
 TEST(MigrationAccounting, TransferCostChargedToTimeline) {
-  const auto run = [](bool charge) {
-    sim::EngineConfig cfg;
-    cfg.epoch_accesses = 5'000;
-    sim::Engine eng(cfg);
-    core::MigrationConfig mcfg;
-    mcfg.period_epochs = 1;
-    mcfg.min_heat = 2;
-    mcfg.charge_transfer_cost = charge;
-    core::MigrationRuntime runtime(mcfg);
-    runtime.attach(eng);
-    const std::uint64_t page = eng.memory().page_bytes();
-    sim::Array<std::uint8_t> hot(eng, 16 * page, memsim::MemPolicy::bind_pool());
-    for (int pass = 0; pass < 50; ++pass)
-      for (std::size_t i = 0; i < hot.size(); i += 64) hot.st(i, 1);
-    eng.finish();
-    EXPECT_GT(runtime.pages_promoted(), 0u);
-    return std::make_pair(eng.elapsed_seconds(), eng.migration_seconds());
-  };
-  const auto [charged_s, charged_migration] = run(true);
-  const auto [free_s, free_migration] = run(false);
-  EXPECT_GT(charged_migration, 0.0);
-  EXPECT_DOUBLE_EQ(free_migration, 0.0);
-  EXPECT_GT(charged_s, free_s);
+  sim::EngineConfig cfg;
+  cfg.epoch_accesses = 5'000;
+  sim::Engine eng(cfg);
+  core::MigrationConfig mcfg;
+  mcfg.period_epochs = 1;
+  mcfg.min_heat = 2;
+  core::MigrationRuntime runtime(mcfg);
+  runtime.attach(eng);
+  const std::uint64_t page = eng.memory().page_bytes();
+  sim::Array<std::uint8_t> hot(eng, 16 * page, memsim::MemPolicy::bind_pool());
+  for (int pass = 0; pass < 50; ++pass)
+    for (std::size_t i = 0; i < hot.size(); i += 64) hot.st(i, 1);
+  eng.finish();
+  EXPECT_GT(runtime.pages_promoted(), 0u);
+  EXPECT_GT(eng.migration_seconds(), 0.0);
+  EXPECT_NEAR(eng.migration_seconds(), runtime.transfer_cost_s(),
+              1e-12 * runtime.transfer_cost_s());
+  double migration_s = 0.0, duration_s = 0.0;
+  for (const auto& e : eng.epochs()) {
+    EXPECT_GE(e.duration_s, e.migration_s);
+    migration_s += e.migration_s;
+    duration_s += e.duration_s;
+  }
+  EXPECT_EQ(migration_s, eng.migration_seconds());
+  EXPECT_EQ(duration_s, eng.elapsed_seconds());
 }
 
 }  // namespace

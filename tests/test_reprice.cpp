@@ -4,13 +4,14 @@
 // The contract under test is byte-identity: inside a ProfileScope, every
 // eligible run must produce output bit-identical to the full simulation
 // it replaces (the same call outside any scope), and every ineligible
-// point (migration runtime attached, epoch callback installed, workload
-// without a functional id) must fall back to full simulation silently —
+// point (run_live with a migration runtime, workload without a
+// functional id) must fall back to full simulation silently —
 // so a sweep mixing both kinds writes the same CSV/JSON as the live
 // reference loop. The cache lives for one sweep (or one explicit scope)
 // and nothing of it leaks to the calling thread afterwards.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
@@ -304,8 +305,8 @@ TEST(ProfileScope, Level3InsideAScopeMatchesLiveBitForBit) {
 // Measure dispatching on the variant axis:
 //   plain    — run_workload, eligible (captures/re-prices over the LoI axis)
 //   schedule — run_workload with a square-wave LoI schedule, still eligible
-//   migrate  — direct Engine + MigrationRuntime + epoch callback: ineligible
-//              by construction (never passes through run_workload)
+//   migrate  — run_live with a MigrationRuntime: ineligible by
+//              construction (run_live with a planner never reprices)
 //   anon     — run_workload with an id-less workload: in-code fallback
 std::vector<Metric> mixed_measure(const SweepPoint& point) {
   if (point.variant == "migrate") {
@@ -317,25 +318,18 @@ std::vector<Metric> mixed_measure(const SweepPoint& point) {
     cfg.epoch_accesses = 50'000;
     const memsim::TierId pool = cfg.machine.topology.first_fabric();
     cfg.loi_schedule.set(pool, memsim::LoiWaveform::square(4, 0.5, 30.0, point.loi));
-    sim::Engine eng(cfg);
     MigrationConfig mcfg;
     mcfg.period_epochs = 1;
     mcfg.max_pages_per_scan = 16;
     mcfg.link_budget_pages = 2;
     MigrationRuntime runtime(mcfg);
-    runtime.attach(eng);
-    // An epoch callback reading durations back out of the timeline — the
-    // timing-feedback shape that makes a run ineligible for repricing.
-    double duration_feedback = 0.0;
-    eng.set_epoch_callback([&](sim::Engine& e) {
-      if (!e.epochs().empty()) duration_feedback += e.epochs().back().duration_s;
-    });
-    (void)wl.run(eng);
-    eng.finish();
-    return {{"elapsed_s", eng.elapsed_seconds()},
-            {"epochs", static_cast<double>(eng.epochs().size())},
+    // The planner feeds timing back into placement (it prices moves at the
+    // live link state), which is what makes the run ineligible.
+    const RunOutput out = run_live(wl, cfg, point.prefetch, &runtime);
+    return {{"elapsed_s", out.elapsed_s},
+            {"epochs", static_cast<double>(out.epochs.size())},
             {"promoted", static_cast<double>(runtime.pages_promoted())},
-            {"feedback_s", duration_feedback}};
+            {"migration_s", runtime.transfer_cost_s()}};
   }
 
   RunConfig rc = point.run_config();
@@ -432,6 +426,14 @@ TEST(Reprice, SweepWritesTheLiveReferenceArtifacts) {
     EXPECT_EQ(repriced.repricing.reprices > 0, in.reprices);
     ASSERT_EQ(full.rows.size(), in.spec.size());
     expect_same_artifacts(full, repriced);
+    // The ineligible rows must really run their planner.
+    for (const auto& row : full.rows) {
+      if (row.point.variant != "migrate") continue;
+      const auto promoted = std::ranges::find(row.metrics, std::string("promoted"),
+                                              [](const Metric& m) { return m.first; });
+      ASSERT_NE(promoted, row.metrics.end());
+      EXPECT_GT(promoted->second, 0.0) << "LoI " << row.point.loi;
+    }
   }
 }
 

@@ -696,19 +696,15 @@ int cmd_plan(const Args& args, workloads::App app) {
   cfg.loi_schedule = *schedule;
   cfg.link_model = args.link_model;
   cfg.epoch_accesses = 250'000;  // frequent scan opportunities
-  sim::Engine eng(cfg);
 
   core::MigrationConfig mcfg;
   mcfg.period_epochs = 1;
   mcfg.allow_staging = args.staging;
   core::MigrationRuntime runtime(mcfg);
-  runtime.attach(eng);
-
-  (void)wl->run(eng);
-  eng.finish();
+  const auto run = core::run_live(*wl, cfg, /*prefetch_enabled=*/true, &runtime);
 
   Table t({"metric", "value"});
-  t.add_row({"simulated time", Table::num(eng.elapsed_seconds() * 1e3, 3) + " ms"});
+  t.add_row({"simulated time", Table::num(run.elapsed_s * 1e3, 3) + " ms"});
   t.add_row({"scans", std::to_string(runtime.scans())});
   t.add_row({"pages promoted", std::to_string(runtime.pages_promoted())});
   t.add_row({"pages demoted", std::to_string(runtime.pages_demoted())});
@@ -795,9 +791,7 @@ int cmd_trace(const Args& args) {
     sim::EngineConfig cfg;
     cfg.machine = machine_of(args.fabric);
     cfg.link_model = args.link_model;
-    sim::Engine eng(cfg);
-    const auto result = recorder.run(eng);
-    eng.finish();
+    const auto run = core::run_live(recorder, cfg, /*prefetch_enabled=*/true);
     std::string error;
     const auto data = trace::TraceData::load(*args.trace_path, error);
     if (!data) {
@@ -806,13 +800,13 @@ int cmd_trace(const Args& args) {
     }
     Table t({"metric", "value"});
     t.add_row({"workload", data->workload_name});
-    t.add_row({"verified", result.verified ? "yes" : "NO"});
+    t.add_row({"verified", run.result.verified ? "yes" : "NO"});
     t.add_row({"records", std::to_string(data->record_count)});
     t.add_row({"trace size", format_bytes(static_cast<double>(data->payload.size()))});
-    t.add_row({"simulated time", Table::num(eng.elapsed_seconds() * 1e3, 3) + " ms"});
+    t.add_row({"simulated time", Table::num(run.elapsed_s * 1e3, 3) + " ms"});
     t.print(std::cout);
     std::cout << "trace written to " << *args.trace_path << "\n";
-    return result.verified ? 0 : 1;
+    return run.result.verified ? 0 : 1;
   }
 
   std::string error;
@@ -857,16 +851,14 @@ int cmd_trace(const Args& args) {
   sim::EngineConfig cfg;
   cfg.machine = machine_of(args.fabric);
   cfg.link_model = args.link_model;
-  sim::Engine eng(cfg);
-  const auto result = replayer.run(eng);
-  eng.finish();
+  const auto run = core::run_live(replayer, cfg, /*prefetch_enabled=*/true);
   Table t({"metric", "value"});
   t.add_row({"workload", replayer.name()});
-  t.add_row({"verified (recorded)", result.verified ? "yes" : "NO"});
-  t.add_row({"simulated time", Table::num(eng.elapsed_seconds() * 1e3, 3) + " ms"});
-  t.add_row({"epochs", std::to_string(eng.epochs().size())});
+  t.add_row({"verified (recorded)", run.result.verified ? "yes" : "NO"});
+  t.add_row({"simulated time", Table::num(run.elapsed_s * 1e3, 3) + " ms"});
+  t.add_row({"epochs", std::to_string(run.epochs.size())});
   t.print(std::cout);
-  return result.verified ? 0 : 1;
+  return run.result.verified ? 0 : 1;
 }
 
 int cmd_report(const Args& args) {
