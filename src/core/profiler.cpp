@@ -98,9 +98,11 @@ Level3Profile MultiLevelProfiler::level3(workloads::Workload& workload,
   RunConfig cfg = base_;
   cfg.remote_capacity_ratio = remote_capacity_ratio;
   cfg.background_loi = 0.0;
-  const RunOutput baseline = run_workload(workload, cfg);
-  return {sensitivity_sweep(workload, cfg, baseline, lois),
-          induced_interference(baseline, cfg.machine)};
+  Level3Profile p;
+  p.baseline = run_workload(workload, cfg);
+  p.sensitivity = sensitivity_sweep(workload, cfg, p.baseline, lois);
+  p.induced = induced_interference(p.baseline, cfg.machine);
+  return p;
 }
 
 }  // namespace memdis::core

@@ -66,6 +66,7 @@ struct Level2Profile {
 struct Level3Profile {
   std::vector<SensitivityPoint> sensitivity;  ///< vs background LoI
   InducedInterference induced;
+  RunOutput baseline;  ///< the LoI-0 run both of the above derive from
 };
 
 /// Orchestrates the three levels. Stateless apart from configuration; each

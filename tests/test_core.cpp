@@ -424,9 +424,21 @@ TEST(Profiler, EachStepSimulatesEachConfigurationOnce) {
   const auto pf = profiler.prefetch(wl, l1);
   EXPECT_EQ(runs.load(), 2);
   EXPECT_EQ(pf.off.counters.prefetch_fills(), 0u);  // then its prefetch-off twin
-  // One LoI-0 baseline feeds both the curve and the induced IC.
-  (void)profiler.level3(wl, 0.5, {0, 25, 50});
+  // One LoI-0 baseline feeds both the curve and the induced IC, and the
+  // profile hands that run back instead of a caller simulating it again.
+  const auto l3 = profiler.level3(wl, 0.5, {0, 25, 50});
   EXPECT_EQ(runs.load(), 5);
+  RunConfig cfg = profiler.base_config();
+  cfg.remote_capacity_ratio = 0.5;
+  const RunOutput fresh = run_workload(wl, cfg);
+  EXPECT_EQ(test::bits(l3.baseline.elapsed_s), test::bits(fresh.elapsed_s));
+  EXPECT_TRUE(test::same_counters(l3.baseline.counters, fresh.counters));
+  ASSERT_FALSE(fresh.epochs.empty());
+  ASSERT_EQ(l3.baseline.epochs.size(), fresh.epochs.size());
+  for (std::size_t i = 0; i < fresh.epochs.size(); ++i)
+    EXPECT_EQ(test::bits(l3.baseline.epochs[i].duration_s),
+              test::bits(fresh.epochs[i].duration_s))
+        << "epoch " << i;
 }
 
 TEST(Profiler, Level2RatiosInRange) {

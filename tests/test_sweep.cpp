@@ -300,14 +300,21 @@ TEST(SweepResult, LocalOnlyRatioRendersAsLocal) {
 
 TEST(ScenarioRegistry, BuiltinScenariosAreRegistered) {
   auto& registry = ScenarioRegistry::instance();
-  for (const char* name :
-       {"fig05", "fig06", "fig08", "fig09", "fig10", "fig11", "fig12", "ext-cxl",
-        "ext-interleave", "ext-transient-loi", "ext-loi-trace"}) {
+  const std::vector<std::string> names = {
+      "fig05", "fig06", "fig07", "fig08", "fig09", "fig10", "fig11", "fig12", "fig13",
+      "ext-cxl", "ext-interleave", "ext-three-tier", "ext-hybrid", "ext-asym-loi",
+      "ext-loi-trace", "ext-fleet-rack", "ext-staged-migration", "ext-transient-loi",
+      "ext-queue-contention"};
+  for (const auto& name : names) {
     const auto* s = registry.find(name);
     ASSERT_NE(s, nullptr) << name;
     EXPECT_TRUE(static_cast<bool>(s->measure)) << name;
+    EXPECT_TRUE(static_cast<bool>(s->summarize)) << name;
     EXPECT_GT(s->spec.size(), 0u) << name;
   }
+  // Every registered scenario is named above: a dropped, renamed or added
+  // scenario changes the count.
+  EXPECT_EQ(registry.list().size(), names.size());
 }
 
 TEST(ScenarioRegistry, Fig06GridMatchesPaper) {
