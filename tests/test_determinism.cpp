@@ -53,21 +53,28 @@ Artifacts artifacts_of(const std::string& scenario_name, unsigned jobs,
 /// The staged-migration scenario exercises the full epoch-callback stack:
 /// per-scan re-pricing, budgets, demotion swaps, and charged transfer time.
 /// Its engines carry migration runtimes, so no run reaches the repricer.
+/// Its cross-process bytes are golden_ext-staged-migration's; the
+/// in-process rerun of a planner scenario is the transient-LoI case below.
 TEST(Determinism, ExtStagedMigrationArtifactsAreReproducible) {
-  const core::SweepResult first_run = result_of("ext-staged-migration", 1);
-  EXPECT_EQ(first_run.repricing.captures, 0u);
-  EXPECT_EQ(first_run.repricing.reprices, 0u);
-  const Artifacts first = artifacts(first_run);
-  const Artifacts second = artifacts_of("ext-staged-migration", 1);
-  EXPECT_EQ(first.csv, second.csv);
-  EXPECT_EQ(first.json, second.json);
-  EXPECT_FALSE(first.csv.empty());
+  const core::SweepResult result = result_of("ext-staged-migration", 1);
+  EXPECT_EQ(result.repricing.captures, 0u);
+  EXPECT_EQ(result.repricing.reprices, 0u);
+  EXPECT_FALSE(artifacts(result).csv.empty());
 }
 
 /// The transient-LoI scenario additionally steps waveforms every epoch and
-/// runs the belief-vs-truth planner pair — the paths this PR added.
+/// runs the belief-vs-truth planner pair. Its first serial run is made once
+/// per process and shared by the two cases below: a whole-binary run makes
+/// three runs (serial, serial again, parallel); ctest, which starts each case
+/// in its own process, makes two per case.
+const Artifacts& transient_loi_serial() {
+  static const Artifacts serial = artifacts_of("ext-transient-loi", 1);
+  return serial;
+}
+
+/// A second serial run in the same process catches state leaked across runs.
 TEST(Determinism, ExtTransientLoiArtifactsAreReproducible) {
-  const Artifacts first = artifacts_of("ext-transient-loi", 1);
+  const Artifacts& first = transient_loi_serial();
   const Artifacts second = artifacts_of("ext-transient-loi", 1);
   EXPECT_EQ(first.csv, second.csv);
   EXPECT_EQ(first.json, second.json);
@@ -77,7 +84,7 @@ TEST(Determinism, ExtTransientLoiArtifactsAreReproducible) {
 /// Parallel execution must not change the artifacts either (the sweep
 /// engine's contract, re-checked here for a callback-heavy scenario).
 TEST(Determinism, TransientLoiParallelMatchesSerial) {
-  const Artifacts serial = artifacts_of("ext-transient-loi", 1);
+  const Artifacts& serial = transient_loi_serial();
   const Artifacts parallel = artifacts_of("ext-transient-loi", 3);
   EXPECT_EQ(serial.csv, parallel.csv);
   EXPECT_EQ(serial.json, parallel.json);

@@ -304,7 +304,8 @@ TEST(ScenarioRegistry, BuiltinScenariosAreRegistered) {
       "fig05", "fig06", "fig07", "fig08", "fig09", "fig10", "fig11", "fig12", "fig13",
       "ext-cxl", "ext-interleave", "ext-three-tier", "ext-hybrid", "ext-asym-loi",
       "ext-loi-trace", "ext-fleet-rack", "ext-staged-migration", "ext-transient-loi",
-      "ext-queue-contention"};
+      "ext-queue-contention", "ext-migration", "ext-memory-roofline", "ext-deployment",
+      "ext-ablation"};
   for (const auto& name : names) {
     const auto* s = registry.find(name);
     ASSERT_NE(s, nullptr) << name;
