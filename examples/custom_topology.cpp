@@ -48,10 +48,9 @@ int main() {
   // ---- 2. first-touch: the HBM tier fills, the rest spills ---------------
   auto wl = workloads::make_workload(workloads::App::kHypre, 1, /*seed=*/42);
   core::RunConfig cfg;
-  cfg.machine = machine;
   // Shape capacities so the spill chain engages: HBM holds 30% of the
   // footprint, DDR the next 40%, the pool the rest.
-  cfg.capacity_fractions = std::vector<double>{0.30, 0.40};
+  cfg.machine = machine.with_capacity_fractions({0.30, 0.40}, wl->footprint_bytes());
   const auto first_touch = core::run_workload(*wl, cfg);
 
   // ---- 3. weighted interleave across all three tiers ---------------------

@@ -31,17 +31,10 @@ double RunOutput::arithmetic_intensity() const {
   return static_cast<double>(flops) / bytes;
 }
 
-std::vector<double> spill_capacity_fractions(const memsim::MachineConfig& machine,
-                                             double ratio) {
-  if (machine.num_tiers() < 3) return {};
-  return {1.0 - ratio, ratio / 2.0};
-}
-
 memsim::MachineConfig machine_with_spill(const memsim::MachineConfig& machine, double ratio,
                                          std::uint64_t footprint_bytes) {
-  const auto fractions = spill_capacity_fractions(machine, ratio);
-  if (fractions.empty()) return machine.with_remote_capacity_ratio(ratio, footprint_bytes);
-  return machine.with_capacity_fractions(fractions, footprint_bytes);
+  if (machine.num_tiers() < 3) return machine.with_remote_capacity_ratio(ratio, footprint_bytes);
+  return machine.with_capacity_fractions({1.0 - ratio, ratio / 2.0}, footprint_bytes);
 }
 
 RunOutput run_live(workloads::Workload& workload, const sim::EngineConfig& ecfg,
@@ -78,14 +71,10 @@ RunOutput run_live(workloads::Workload& workload, const sim::EngineConfig& ecfg,
 
 RunOutput run_workload(workloads::Workload& workload, const RunConfig& cfg) {
   sim::EngineConfig ecfg;
-  ecfg.machine = cfg.machine;
-  if (cfg.capacity_fractions) {
-    ecfg.machine =
-        cfg.machine.with_capacity_fractions(*cfg.capacity_fractions, workload.footprint_bytes());
-  } else if (cfg.remote_capacity_ratio) {
-    ecfg.machine = cfg.machine.with_remote_capacity_ratio(*cfg.remote_capacity_ratio,
-                                                          workload.footprint_bytes());
-  }
+  ecfg.machine = cfg.remote_capacity_ratio
+                     ? machine_with_spill(cfg.machine, *cfg.remote_capacity_ratio,
+                                          workload.footprint_bytes())
+                     : cfg.machine;
   ecfg.hierarchy = cfg.hierarchy;
   ecfg.background_loi = cfg.background_loi;
   ecfg.background_loi_per_tier = cfg.background_loi_per_tier;

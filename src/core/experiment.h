@@ -40,14 +40,10 @@ struct RunConfig {
   /// links keep the static levels above. Empty = the static model.
   memsim::LoiSchedule loi_schedule;
   bool prefetch_enabled = true;  ///< MSR 0x1a4 analogue
-  /// When set, shrinks the node tier so this fraction of the workload's
-  /// footprint spills off-node (the paper's setup_waste step, Fig. 4 III).
+  /// When set, shapes capacities so this fraction of the workload's
+  /// footprint spills off-node (the paper's setup_waste step, Fig. 4 III),
+  /// by machine_with_spill's rule.
   std::optional<double> remote_capacity_ratio;
-  /// When set, shapes per-tier capacities as fractions of the workload's
-  /// footprint (MachineConfig::with_capacity_fractions) — the N-tier
-  /// generalization of remote_capacity_ratio for spill-chain experiments.
-  /// Takes precedence over remote_capacity_ratio when both are set.
-  std::optional<std::vector<double>> capacity_fractions;
   /// Fabric link contention model (see sim::EngineConfig::link_model):
   /// `kLoi` is the closed form, `kQueue` the two-class queue model.
   memsim::LinkModelKind link_model = memsim::LinkModelKind::kLoi;
@@ -82,18 +78,11 @@ struct RunOutput {
   [[nodiscard]] double arithmetic_intensity() const;
 };
 
-/// Capacity fractions of the spill-chain experiments for off-node ratio
-/// `ratio`: the node tier keeps 1-ratio of the footprint and, on an N-tier
-/// chain, the first pool takes half the spill (the tail absorbs the rest).
-/// Empty for two-tier machines — shape those with remote_capacity_ratio.
-/// The single source of the split rule shared by the scenarios and
-/// `memdis plan`.
-[[nodiscard]] std::vector<double> spill_capacity_fractions(const memsim::MachineConfig& machine,
-                                                           double ratio);
-
 /// Returns `machine` shaped so `ratio` of `footprint_bytes` spills off the
-/// node under first touch, applying spill_capacity_fractions on N-tier
-/// chains and the plain node-tier shrink on two-tier machines.
+/// node under first touch: the node tier keeps 1-ratio of the footprint
+/// and, on an N-tier chain, the first pool takes half the spill (the tail
+/// absorbs the rest). A two-tier machine shrinks only its node tier. The
+/// one spill rule of every capacity-ratio run.
 [[nodiscard]] memsim::MachineConfig machine_with_spill(const memsim::MachineConfig& machine,
                                                        double ratio,
                                                        std::uint64_t footprint_bytes);

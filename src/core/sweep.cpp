@@ -24,21 +24,32 @@ namespace memdis::core {
 // byte-identity contract on artifacts is shared with the fleet writers,
 // so the formatting that implements it lives in one place.
 
+namespace {
+
+/// Every topology preset, in CLI listing order.
+const std::pair<const char*, memsim::MachineConfig (*)()> kTopologyPresets[] = {
+    {"upi", memsim::MachineConfig::skylake_testbed},
+    {"cxl", memsim::MachineConfig::cxl_direct_attached},
+    {"cxl-switched", memsim::MachineConfig::cxl_switched_pool},
+    {"split", memsim::MachineConfig::split_borrowing},
+    {"three-tier", memsim::MachineConfig::three_tier_cxl},
+    {"hybrid", memsim::MachineConfig::hybrid_split_pool},
+};
+
+}  // namespace
+
 memsim::MachineConfig machine_for_fabric(const std::string& fabric) {
-  if (fabric == "upi") return memsim::MachineConfig::skylake_testbed();
-  if (fabric == "cxl") return memsim::MachineConfig::cxl_direct_attached();
-  if (fabric == "cxl-switched") return memsim::MachineConfig::cxl_switched_pool();
-  if (fabric == "split") return memsim::MachineConfig::split_borrowing();
-  if (fabric == "three-tier") return memsim::MachineConfig::three_tier_cxl();
-  if (fabric == "hybrid") return memsim::MachineConfig::hybrid_split_pool();
-  throw std::invalid_argument(
-      "unknown topology preset '" + fabric +
-      "' (expected upi|cxl|cxl-switched|split|three-tier|hybrid)");
+  for (const auto& [name, make] : kTopologyPresets)
+    if (fabric == name) return make();
+  std::string names;
+  for (const auto& preset : kTopologyPresets)
+    names.append(names.empty() ? "" : "|").append(preset.first);
+  throw std::invalid_argument("unknown topology preset '" + fabric + "' (expected " + names + ")");
 }
 
-const std::vector<std::string>& topology_preset_names() {
-  static const std::vector<std::string> names = {"upi",   "cxl",        "cxl-switched",
-                                                 "split", "three-tier", "hybrid"};
+std::vector<std::string> topology_preset_names() {
+  std::vector<std::string> names;
+  for (const auto& preset : kTopologyPresets) names.emplace_back(preset.first);
   return names;
 }
 

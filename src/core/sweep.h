@@ -39,7 +39,7 @@ inline constexpr double kNodeOnly = -1.0;
 [[nodiscard]] memsim::MachineConfig machine_for_fabric(const std::string& fabric);
 
 /// All registered topology preset names, in CLI listing order.
-[[nodiscard]] const std::vector<std::string>& topology_preset_names();
+[[nodiscard]] std::vector<std::string> topology_preset_names();
 
 /// Off-only stubs of the removed sweep replay cache, kept because the
 /// frozen perfbench/ harness pins these names: the getter is always empty

@@ -97,12 +97,6 @@ MachineConfig MachineConfig::with_capacity_fractions(const std::vector<double>& 
   return cfg;
 }
 
-MachineConfig MachineConfig::with_local_capacity(std::uint64_t bytes) const {
-  MachineConfig cfg = *this;
-  cfg.node_tier().capacity_bytes = bytes;
-  return cfg;
-}
-
 double MachineConfig::remote_capacity_ratio() const {
   const auto total = static_cast<double>(topology.total_capacity_bytes());
   if (total <= 0) return 0.0;

@@ -101,9 +101,6 @@ struct MachineConfig {
   [[nodiscard]] MachineConfig with_capacity_fractions(const std::vector<double>& fractions,
                                                       std::uint64_t footprint_bytes) const;
 
-  /// Returns a copy with the node tier capacity set to `bytes`.
-  [[nodiscard]] MachineConfig with_local_capacity(std::uint64_t bytes) const;
-
   // ---- two-tier reference ratios (Sec. 5.1) -------------------------------
   /// Ratio of off-node capacity to total capacity (R_cap^remote).
   [[nodiscard]] double remote_capacity_ratio() const;

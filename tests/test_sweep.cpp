@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 
@@ -357,6 +358,60 @@ TEST(ScenarioRegistry, RealScenarioParallelMatchesSerial) {
   parallel.write_csv(b);
   EXPECT_EQ(a.str(), b.str());
   EXPECT_EQ(serial.scenario, "ext-interleave");
+}
+
+// ---------- paper claims -----------------------------------------------------
+
+/// The losses at LoI 50 the model shows on fig10's 50/50 split.
+const std::map<App, double> kModelFig10Loss = {{App::kHPL, 0.063},   {App::kSuperLU, 0.102},
+                                               {App::kNekRS, 0.166}, {App::kHypre, 0.166},
+                                               {App::kBFS, 0.147},   {App::kXSBench, 0.001}};
+
+/// Runs fig10's claims on fig10-shaped rows, each app's relative
+/// performance falling linearly to 1 - loss at LoI 50 at every split.
+/// Returns the mismatch count and the printed report.
+std::pair<std::size_t, std::string> check_fig10(const std::map<App, double>& loss) {
+  std::vector<SweepRow> rows;
+  for (const double ratio : {0.25, 0.5, 0.75})
+    for (const auto& [app, at_50] : loss) {
+      SweepRow& row = rows.emplace_back();
+      row.point.app = app;
+      row.point.ratio = ratio;
+      for (const int loi : {0, 10, 20, 30, 40, 50})
+        row.metrics.emplace_back("relperf_loi" + std::to_string(loi), 1.0 - at_50 * loi / 50.0);
+      row.metrics.emplace_back("loss_at_50", at_50);
+    }
+  std::ostringstream os;
+  const auto& claims = ScenarioRegistry::instance().find("fig10")->claims;
+  const std::size_t mismatches = report_claims(claims, rows, os);
+  return {mismatches, os.str()};
+}
+
+TEST(PaperClaims, TheModelShapeMeetsEveryExpectation) {
+  const auto [mismatches, report] = check_fig10(kModelFig10Loss);
+  EXPECT_EQ(mismatches, 0u) << report;
+  EXPECT_NE(report.find("[known failure] (ordering) HPL stays under ~5% loss"), std::string::npos)
+      << report;
+}
+
+TEST(PaperClaims, SwappingHypreAndHplIsAMismatch) {
+  auto loss = kModelFig10Loss;
+  std::swap(loss[App::kHPL], loss[App::kHypre]);
+  const auto [mismatches, report] = check_fig10(loss);
+  EXPECT_EQ(mismatches, 1u) << report;
+  EXPECT_NE(report.find("[MISMATCH: fails] (ordering) Hypre and NekRS are the most sensitive"),
+            std::string::npos)
+      << report;
+}
+
+TEST(PaperClaims, AKnownFailureThatStartsToHoldIsAMismatch) {
+  auto loss = kModelFig10Loss;
+  loss[App::kHPL] = 0.03;
+  const auto [mismatches, report] = check_fig10(loss);
+  EXPECT_EQ(mismatches, 1u) << report;
+  EXPECT_NE(report.find("[MISMATCH: holds, expected to fail] (ordering) HPL stays under"),
+            std::string::npos)
+      << report;
 }
 
 }  // namespace

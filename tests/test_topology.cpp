@@ -8,6 +8,7 @@
 #include "common/contract.h"
 #include "common/rng.h"
 #include "core/experiment.h"
+#include "core/profiler.h"
 #include "core/scenario_registry.h"
 #include "core/sweep.h"
 #include "workloads/workload.h"
@@ -178,9 +179,9 @@ TEST(EngineNTier, CountersEpochsAndResidencyCoverAllTiers) {
   auto wl = workloads::make_workload(App::kBFS, 1, /*seed=*/7);
   core::RunConfig cfg;
   cfg.machine = memsim::MachineConfig::three_tier_cxl();
-  // Node holds 25% of the footprint, the direct device ~37.5%, the rest
+  // Node holds 25% of the footprint, the direct device 37.5%, the rest
   // spills to the switched pool.
-  cfg.capacity_fractions = std::vector<double>{0.25, 0.375};
+  cfg.remote_capacity_ratio = 0.75;
   const auto run = core::run_workload(*wl, cfg);
 
   EXPECT_TRUE(run.result.verified);
@@ -200,6 +201,16 @@ TEST(EngineNTier, CountersEpochsAndResidencyCoverAllTiers) {
   // The configured 75% split is approximate: the footprint estimate the
   // capacity shaping uses differs from true peak RSS by transient arrays.
   EXPECT_NEAR(run.remote_capacity_ratio(), 0.75, 0.1);
+}
+
+TEST(EngineNTier, Level2OnThreeTierSpillsToTheSwitchedPool) {
+  // `memdis level2 --fabric three-tier --ratio 0.75`: the profiler shapes
+  // capacities by machine_with_spill's rule, so the spill reaches tier 2.
+  core::RunConfig cfg;
+  cfg.machine = memsim::MachineConfig::three_tier_cxl();
+  auto wl = workloads::make_workload(App::kBFS, 1, /*seed=*/7);
+  const auto l2 = core::MultiLevelProfiler(cfg).level2(*wl, 0.75);
+  EXPECT_GT(l2.run.counters.dram_bytes(2), 0u);
 }
 
 // ---------- sweep topology axis ----------------------------------------------
@@ -266,7 +277,7 @@ TEST(Monotonicity, SwitchedHopNeverImprovesRuntime) {
 
   core::RunConfig direct_cfg;
   direct_cfg.machine = direct_machine;
-  direct_cfg.capacity_fractions = std::vector<double>{0.25, 0.375};
+  direct_cfg.remote_capacity_ratio = 0.75;  // node 25%, device 37.5%, tail the rest
   auto wl_direct = workloads::make_workload(App::kBFS, 1, seed);
   const auto direct = core::run_workload(*wl_direct, direct_cfg);
 
@@ -289,7 +300,7 @@ TEST(Monotonicity, HybridNeverLosesToPureSplit) {
   const std::uint64_t seed = 99;
   core::RunConfig hybrid_cfg;
   hybrid_cfg.machine = memsim::MachineConfig::hybrid_split_pool();
-  hybrid_cfg.capacity_fractions = std::vector<double>{0.5, 0.25};
+  hybrid_cfg.remote_capacity_ratio = 0.5;  // node 50%, CXL device 25%, peer the rest
   auto wl_hybrid = workloads::make_workload(App::kBFS, 1, seed);
   const auto hybrid = core::run_workload(*wl_hybrid, hybrid_cfg);
 

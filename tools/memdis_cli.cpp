@@ -13,6 +13,7 @@
 //   memdis report  [--scale 1]
 //   memdis scenarios
 //   memdis sweep   --scenario fig06 [--jobs N] [--out dir] [--csv file]
+//                  (exits 1 when a paper claim disagrees with its expected verdict)
 //   memdis fleet   [--arrivals poisson:0.12:1000] [--pools 2] [--policy loi-aware]
 //                  [--migration on] [--jobs N] [--out dir] [--csv file]
 //   memdis plan    --app Hypre --fabric three-tier [--ratio 0.75]
@@ -349,10 +350,6 @@ std::optional<workloads::App> app_of(const std::string& name) {
   return std::nullopt;
 }
 
-memsim::MachineConfig machine_of(const std::string& fabric) {
-  return core::machine_for_fabric(fabric);
-}
-
 /// --loi promises one value per fabric tier of the selected machine; a
 /// miscounted list would otherwise silently load the wrong link (the
 /// strict-validation contract of the other numeric flags).
@@ -405,7 +402,7 @@ std::optional<memsim::LoiSchedule> schedule_of(const Args& args,
 }
 
 int cmd_machine(const Args& args) {
-  const auto m = machine_of(args.fabric);
+  const auto m = core::machine_for_fabric(args.fabric);
   Table t({"parameter", "value"});
   t.add_row({"peak compute", Table::num(m.peak_gflops, 0) + " Gflop/s (" +
                                  std::to_string(m.threads) + " threads)"});
@@ -431,7 +428,7 @@ int cmd_machine(const Args& args) {
 
 int cmd_level1(const Args& args, workloads::App app) {
   core::RunConfig rc;
-  rc.machine = machine_of(args.fabric);
+  rc.machine = core::machine_for_fabric(args.fabric);
   if (!loi_matches_topology(args, rc.machine)) return 2;
   rc.background_loi_per_tier = args.loi_per_tier;
   const auto schedule = schedule_of(args, rc.machine);
@@ -474,7 +471,7 @@ int cmd_level1(const Args& args, workloads::App app) {
 
 int cmd_level2(const Args& args, workloads::App app) {
   core::RunConfig rc;
-  rc.machine = machine_of(args.fabric);
+  rc.machine = core::machine_for_fabric(args.fabric);
   if (!loi_matches_topology(args, rc.machine)) return 2;
   rc.background_loi_per_tier = args.loi_per_tier;
   const auto schedule = schedule_of(args, rc.machine);
@@ -499,7 +496,7 @@ int cmd_level2(const Args& args, workloads::App app) {
 
 int cmd_level3(const Args& args, workloads::App app) {
   core::RunConfig rc;
-  rc.machine = machine_of(args.fabric);
+  rc.machine = core::machine_for_fabric(args.fabric);
   rc.link_model = args.link_model;
   core::MultiLevelProfiler profiler(rc);
   auto wl = workloads::make_workload(app, args.scale);
@@ -535,7 +532,7 @@ int cmd_lbench(const Args& args) {
   t.add_row({"wall time", Table::num(res.seconds * 1e3, 2) + " ms"});
   t.add_row({"array traffic", Table::num(res.data_gbps, 2) + " GB/s"});
   t.add_row({"compute rate", Table::num(res.gflops, 2) + " Gflop/s"});
-  const auto m = machine_of(args.fabric);
+  const auto m = core::machine_for_fabric(args.fabric);
   t.add_row({"offered LoI (model)",
              Table::num(100.0 * core::lbench_offered_utilization(m, args.threads, args.nflop),
                         1) +
@@ -574,6 +571,12 @@ int cmd_sweep(const Args& args) {
   std::cout << "sweep finished in " << Table::num(result.wall_seconds, 2) << " s ("
             << result.rows.size() << " rows)\n\n";
   if (scenario->summarize) scenario->summarize(result, std::cout);
+  // The claims gate the exit status only on the registered spec: under
+  // another link model they describe a configuration they were not made for.
+  const bool gated = args.link_model == scenario->spec.link_model;
+  const std::size_t mismatches = core::report_claims(scenario->claims, result.rows, std::cout);
+  if (!gated && !scenario->claims.empty())
+    std::cout << "(claims not gated: --link-model differs from the scenario's own)\n";
   if (args.out_dir) {
     std::filesystem::create_directories(*args.out_dir);
     const auto csv = *args.out_dir + "/" + scenario->name + ".csv";
@@ -585,6 +588,11 @@ int cmd_sweep(const Args& args) {
   if (args.csv_path) {
     result.write_csv_file(*args.csv_path);
     std::cout << "\nsweep rows written to " << *args.csv_path << "\n";
+  }
+  if (gated && mismatches > 0) {
+    std::cerr << "error: " << mismatches << " paper claim(s) of " << scenario->name
+              << " disagree with their expected verdict\n";
+    return 1;
   }
   return 0;
 }
@@ -686,9 +694,9 @@ int cmd_plan(const Args& args, workloads::App app) {
   sim::EngineConfig cfg;
   // Shape capacities so args.ratio of the footprint spills off the node;
   // N-tier chains split the spill between the first pool and the tail
-  // (the same rule the spill-chain scenarios use).
-  cfg.machine =
-      core::machine_with_spill(machine_of(args.fabric), args.ratio, wl->footprint_bytes());
+  // (the rule every capacity-ratio run uses).
+  cfg.machine = core::machine_with_spill(core::machine_for_fabric(args.fabric), args.ratio,
+                                         wl->footprint_bytes());
   if (!loi_matches_topology(args, cfg.machine)) return 2;
   cfg.background_loi_per_tier = args.loi_per_tier;
   const auto schedule = schedule_of(args, cfg.machine);
@@ -789,7 +797,7 @@ int cmd_trace(const Args& args) {
         workloads::make_workload(*app, args.scale, args.seed), workloads::app_name(*app),
         args.scale, args.seed, *args.trace_path);
     sim::EngineConfig cfg;
-    cfg.machine = machine_of(args.fabric);
+    cfg.machine = core::machine_for_fabric(args.fabric);
     cfg.link_model = args.link_model;
     const auto run = core::run_live(recorder, cfg, /*prefetch_enabled=*/true);
     std::string error;
@@ -849,7 +857,7 @@ int cmd_trace(const Args& args) {
   // replay
   trace::TraceReplayWorkload replayer(std::move(*data));
   sim::EngineConfig cfg;
-  cfg.machine = machine_of(args.fabric);
+  cfg.machine = core::machine_for_fabric(args.fabric);
   cfg.link_model = args.link_model;
   const auto run = core::run_live(replayer, cfg, /*prefetch_enabled=*/true);
   Table t({"metric", "value"});
@@ -864,7 +872,7 @@ int cmd_trace(const Args& args) {
 int cmd_report(const Args& args) {
   Table t({"app", "verified", "sim time (ms)", "AI", "DRAM GB/s", "skew"});
   core::RunConfig rc;
-  rc.machine = machine_of(args.fabric);
+  rc.machine = core::machine_for_fabric(args.fabric);
   rc.link_model = args.link_model;
   core::MultiLevelProfiler profiler(rc);
   bool all_ok = true;
