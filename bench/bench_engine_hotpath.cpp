@@ -8,8 +8,10 @@
 // Before timing anything, the bench proves the fast path exact: each
 // pattern runs once on the batched fast path and once through the
 // element-wise reference decomposition (EngineConfig::bulk_fast_path =
-// false) on fresh engines — every hardware counter, the epoch count, and
-// the simulated time must match bit-for-bit. A mismatch fails the run
+// false) on fresh engines — every hardware counter, the epoch count, the
+// simulated time and the line state of all three cache levels (tags,
+// recency stacks, flags; taken before the end-of-run drain) must match
+// bit-for-bit. A mismatch fails the run
 // (exit 1) and trips the nightly `counters_identical` exact gate.
 //
 // Usage: bench_engine_hotpath [--json PATH] [--quick]
@@ -95,6 +97,7 @@ struct StateDigest {
   memdis::cachesim::HwCounters counters;
   std::size_t epochs = 0;
   double elapsed_s = 0.0;
+  memdis::cachesim::CacheHierarchy::Snapshot caches;
 };
 
 template <typename Body>
@@ -108,8 +111,9 @@ StateDigest digest_run(std::size_t elems, bool fast_path, Body&& body) {
   const auto range = eng.alloc(elems * sizeof(double), memdis::memsim::MemPolicy::first_touch(),
                                "check");
   body(eng, range);
-  eng.finish();
   StateDigest d;
+  d.caches = eng.hierarchy().snapshot_caches();
+  eng.finish();
   d.counters = eng.counters();
   d.epochs = eng.epochs().size();
   d.elapsed_s = eng.elapsed_seconds();
@@ -118,7 +122,7 @@ StateDigest digest_run(std::size_t elems, bool fast_path, Body&& body) {
 
 bool digests_equal(const StateDigest& a, const StateDigest& b) {
   return std::memcmp(&a.counters, &b.counters, sizeof(a.counters)) == 0 &&
-         a.epochs == b.epochs && a.elapsed_s == b.elapsed_s;
+         a.epochs == b.epochs && a.elapsed_s == b.elapsed_s && a.caches == b.caches;
 }
 
 }  // namespace

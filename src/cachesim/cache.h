@@ -4,23 +4,32 @@
 // The lookup path is the simulator's innermost loop (every simulated access
 // probes L1, and every L1 miss scans L2/L3 and fills up to three levels),
 // so the cache state is laid out for speed without changing behaviour:
-//  * struct-of-arrays storage — tag, LRU tick, and flag planes — so a way
-//    scan streams over a dense 8-byte tag array instead of 24-byte line
+//  * struct-of-arrays storage — tag and flag planes — so a way scan
+//    streams over a dense 8-byte tag array instead of 24-byte line
 //    records (the simulated L3's metadata alone overflows the host's L2;
 //    memory traffic per scan is what dominates, not instruction count),
 //  * an impossible tag value (~0) encodes invalidity, so one tag compare
 //    answers valid-and-matching,
 //  * set/tag math uses precomputed shift/mask values (line size and set
 //    count are enforced powers of two),
-//  * each set keeps an MRU way hint probed before the full scan — a pure
-//    search-order optimization (tags are unique within a set, so the same
+//  * replacement state is one 64-bit word per set holding the ways as a
+//    4-bit-per-way LRU stack (Mattson et al., IBM Sys. J. 1970): nibble 0
+//    is the MRU way, nibble ways-1 the LRU way, unused high nibbles read
+//    0xF (so at most 16 ways). The victim is the LRU nibble — no scan —
+//    and a hit or fill moves its way to the front with a branch-free
+//    zero-nibble search and masked shift (a hit on the MRU way changes
+//    nothing). Invalid ways sit at the LRU end in ascending index order,
+//    which is exactly "first invalid way, else the LRU way",
+//  * the MRU nibble doubles as the search hint probed before the full
+//    scan — search order only (tags are unique within a set, so the same
 //    line is found whichever way finds it),
-//  * the way scan and the victim argmin issue as wide compares over the
-//    dense planes (common/simd.h — AVX2/SSE2/NEON chosen at compile time,
-//    the scalar loops in a -DMEMDIS_SIMD=OFF build; see docs/HOTPATH.md),
+//  * the way scan issues as wide compares over the dense tag plane
+//    (common/simd.h — AVX2/SSE2/NEON chosen at compile time, the scalar
+//    loop in a -DMEMDIS_SIMD=OFF build; see docs/HOTPATH.md),
 //  * the hot entry points are header-inline.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -52,80 +61,80 @@ struct Eviction {
 
 class SetAssocCache {
  public:
+  /// Ways per set the 4-bit recency stack can hold.
+  static constexpr std::uint32_t kMaxWays = 16;
+
   explicit SetAssocCache(const CacheConfig& cfg);
 
-  /// Looks up the line containing `addr`. On a hit, updates LRU state,
-  /// optionally sets the dirty bit, and reports whether this was the first
-  /// demand reference to a prefetched line.
+  /// Looks up the line containing `addr`. On a hit, makes it the set's MRU
+  /// line, optionally sets the dirty bit, and reports whether this was the
+  /// first demand reference to a prefetched line.
   struct HitInfo {
     bool hit = false;
     bool first_use_of_prefetch = false;
   };
   HitInfo access(std::uint64_t addr, bool is_store) {
-    const std::size_t idx = find(addr);
-    if (idx == kNpos) return {};
+    const std::uint64_t set = set_of(addr);
+    const std::uint32_t way = find_way(set, line_align(addr));
+    if (way == cfg_.ways) return {};
+    const std::size_t idx = set * cfg_.ways + way;
     const std::uint8_t f = flags_[idx];
     HitInfo info;
     info.hit = true;
     info.first_use_of_prefetch = (f & kPrefetched) != 0 && (f & kReferenced) == 0;
     flags_[idx] = f | kReferenced | (is_store ? kDirty : 0);
-    lru_[idx] = ++tick_;
+    promote(set, way);
     return info;
   }
 
   // ---- resident-line handles (the engine's batching kernel) ---------------
-  // A handle is the line's slot index; it stays valid until the next fill,
-  // invalidate, or drain on this cache (those may move or evict lines).
+  // A handle is (set << 4) | way, so touch() finds the set's stack without
+  // a division; it stays valid until the next fill, invalidate, or drain on
+  // this cache (those may evict the line).
   static constexpr std::size_t npos = ~std::size_t{0};
 
-  /// Handle of the line holding `addr`, or npos. Search-order hint updates
-  /// only — same observable state as contains().
-  [[nodiscard]] std::size_t index_of(std::uint64_t addr) { return find(addr); }
+  /// Handle of the line holding `addr`, or npos. Changes no state.
+  [[nodiscard]] std::size_t index_of(std::uint64_t addr) const {
+    const std::uint64_t set = set_of(addr);
+    const std::uint32_t way = find_way(set, line_align(addr));
+    return way == cfg_.ways ? npos : (set << 4) | way;
+  }
 
   /// Batched index_of: out[i] = index_of(line_addrs[i]), i < n. Resolves
   /// all of the engine batcher's changed lanes in one call, so the wide
   /// tag compares issue back-to-back with no interleaved lane
-  /// bookkeeping. Same hint updates as n sequential index_of() calls.
-  void index_of_batch(const std::uint64_t* line_addrs, std::size_t n, std::size_t* out) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = find(line_addrs[i]);
+  /// bookkeeping.
+  void index_of_batch(const std::uint64_t* line_addrs, std::size_t n, std::size_t* out) const {
+    for (std::size_t i = 0; i < n; ++i) out[i] = index_of(line_addrs[i]);
   }
 
   /// Applies the *net* effect of a batch of hit accesses to the line at
-  /// `idx`: referenced, optionally dirtied, LRU tick set to `final_tick`
-  /// (a value the caller obtained from advance_tick for this batch).
-  void touch_at(std::size_t idx, bool any_store, std::uint64_t final_tick) {
-    flags_[idx] |= kReferenced | (any_store ? kDirty : 0);
-    lru_[idx] = final_tick;
-  }
-
-  /// Advances the LRU clock by `n` accesses and returns the new value (the
-  /// tick of the batch's final access).
-  std::uint64_t advance_tick(std::uint64_t n) {
-    tick_ += n;
-    return tick_;
+  /// `handle`: referenced, optionally dirtied, moved to the MRU position.
+  /// Touching a batch's lines in the order of their final accesses leaves
+  /// the stack exactly as the element-wise access sequence would.
+  void touch(std::size_t handle, bool any_store) {
+    const std::size_t set = handle >> 4;
+    const auto way = static_cast<std::uint32_t>(handle & 0xF);
+    flags_[set * cfg_.ways + way] |= kReferenced | (any_store ? kDirty : 0);
+    promote(set, way);
   }
 
   /// Inserts the line containing `addr`; returns the eviction if a valid
   /// line had to be displaced. `prefetched` marks hardware-prefetch fills.
-  /// A line already present is only refreshed (LRU, dirty bit).
+  /// A line already present is only refreshed (made MRU, dirty bit).
   std::optional<Eviction> fill(std::uint64_t addr, bool dirty, bool prefetched);
 
   /// fill() for a line the caller knows is absent (every hierarchy fill
   /// follows a miss or a failed contains() on this level, with nothing in
-  /// between that could insert it). Skips the present-line refresh check,
-  /// so the victim scan is a pure invalid-or-LRU-min pass — same victim,
-  /// same eviction, same end state as fill().
+  /// between that could insert it). Skips the present-line refresh check:
+  /// the victim is read straight off the LRU nibble — same victim, same
+  /// eviction, same end state as fill().
   std::optional<Eviction> fill_absent(std::uint64_t addr, bool dirty, bool prefetched);
 
-  /// True when the line is present. Does not update LRU; probes the MRU
-  /// hint first (search order only, observationally pure).
+  /// True when the line is present. Changes no state.
   [[nodiscard]] bool contains(std::uint64_t addr) const {
-    const std::uint64_t aligned = line_align(addr);
     const std::uint64_t set = set_of(addr);
-    const std::uint64_t* tags = &tag_[set * cfg_.ways];
-    const std::uint32_t hinted = mru_way_[set];
-    if (tags[hinted] == aligned) return true;
-    return simd::find_equal_except(tags, cfg_.ways, aligned, hinted) != cfg_.ways;
+    return find_way(set, line_align(addr)) != cfg_.ways;
   }
 
   /// Invalidates the line if present; returns its eviction record.
@@ -133,11 +142,12 @@ class SetAssocCache {
 
   /// Marks the line dirty when present — an upper level writing back into
   /// this one — and reports whether it was (one scan replacing the former
-  /// contains + mark_dirty probe pair).
+  /// contains + mark_dirty probe pair). Leaves the recency order alone.
   bool mark_dirty_if_present(std::uint64_t addr) {
-    const std::size_t idx = find(addr);
-    if (idx == kNpos) return false;
-    flags_[idx] |= kDirty;
+    const std::uint64_t set = set_of(addr);
+    const std::uint32_t way = find_way(set, line_align(addr));
+    if (way == cfg_.ways) return false;
+    flags_[set * cfg_.ways + way] |= kDirty;
     return true;
   }
 
@@ -149,37 +159,30 @@ class SetAssocCache {
       if (tag_[i] == kInvalidTag) continue;
       sink(eviction_of(i));
       tag_[i] = kInvalidTag;
-      lru_[i] = 0;  // invariant: invalid ways read as LRU tick 0
     }
+    order_.assign(sets_, empty_order_);
   }
 
   [[nodiscard]] const CacheConfig& config() const { return cfg_; }
   [[nodiscard]] std::uint64_t line_bytes() const { return cfg_.line_bytes; }
 
-  // ---- state snapshot / restore / digest ------------------------------------
-  // The complete observable line state: tag, LRU tick, and flag planes plus
-  // the LRU clock. The per-set MRU hint is deliberately excluded — it only
-  // steers search order (tags are unique within a set), so two states that
-  // differ in hints alone are behaviourally identical. Used by the trace
-  // layer's replay-validation tests to prove a replayed run reconverges on
-  // the live run's exact cache state.
+  // ---- state snapshot / digest ----------------------------------------------
+  // The complete observable line state: tag and flag planes plus each
+  // set's recency stack. Used by the differential and replay-validation
+  // tests to prove two runs end in the exact same cache state.
   struct Snapshot {
-    std::uint64_t tick = 0;
     std::vector<std::uint64_t> tag;
-    std::vector<std::uint64_t> lru;
+    std::vector<std::uint64_t> order;  ///< per set: ways MRU → LRU, 4 bits each
     std::vector<std::uint8_t> flags;
+    bool operator==(const Snapshot&) const = default;
   };
-  [[nodiscard]] Snapshot snapshot() const;
-  /// Restores a snapshot taken from a cache of the identical geometry
-  /// (contract violation otherwise).
-  void restore(const Snapshot& s);
+  [[nodiscard]] Snapshot snapshot() const { return Snapshot{tag_, order_, flags_}; }
   /// FNV-1a over the snapshot planes — equal digests ⇔ equal observable
   /// line state.
   [[nodiscard]] std::uint64_t digest() const;
 
  private:
   static constexpr std::uint64_t kInvalidTag = ~0ULL;  // not a line address
-  static constexpr std::size_t kNpos = ~std::size_t{0};
   static constexpr std::uint8_t kDirty = 1;
   static constexpr std::uint8_t kPrefetched = 2;
   static constexpr std::uint8_t kReferenced = 4;
@@ -196,33 +199,46 @@ class SetAssocCache {
                     (f & kPrefetched) != 0 && (f & kReferenced) == 0};
   }
 
-  /// Index of the line holding `addr`, or kNpos. Updates the MRU hint on a
-  /// scan hit (search order only). After the hint probe misses, the scan
-  /// compares each remaining tag exactly once: the wide path covers the
-  /// hinted lane inside the vector compare (free, and known unequal), the
-  /// scalar fallback skips it.
-  std::size_t find(std::uint64_t addr) {
-    const std::uint64_t aligned = line_align(addr);
-    const std::uint64_t set = set_of(addr);
-    const std::size_t base = set * cfg_.ways;
-    const std::uint32_t hinted = mru_way_[set];
-    if (tag_[base + hinted] == aligned) return base + hinted;
-    const std::uint32_t w = simd::find_equal_except(&tag_[base], cfg_.ways, aligned, hinted);
-    if (w == cfg_.ways) return kNpos;
-    mru_way_[set] = w;
-    return base + w;
+  /// Way of `set` holding the line-aligned `aligned`, or cfg_.ways. Probes
+  /// the MRU way first; after that probe misses, the scan compares each
+  /// remaining tag exactly once: the wide path covers the MRU lane inside
+  /// the vector compare (free, and known unequal), the scalar fallback
+  /// skips it.
+  [[nodiscard]] std::uint32_t find_way(std::uint64_t set, std::uint64_t aligned) const {
+    const std::uint64_t* tags = &tag_[set * cfg_.ways];
+    const auto mru = static_cast<std::uint32_t>(order_[set] & 0xF);
+    if (tags[mru] == aligned) return mru;
+    return simd::find_equal_except(tags, cfg_.ways, aligned, mru);
+  }
+
+  /// Moves `way` to the front of its set's stack; the ways in front of it
+  /// shift one nibble towards the LRU end. Branch-free: XOR with `way` in
+  /// every nibble zeroes exactly the nibble holding it (unused nibbles
+  /// read 0xF, above any way of a cache with fewer than 16), the
+  /// has-zero-nibble trick flags it (a borrow can only raise false flags
+  /// above the true zero, so the lowest flag is exact), and two masks
+  /// split the word around it. A way already at nibble 0 leaves the word
+  /// unchanged.
+  void promote(std::size_t set, std::uint32_t way) {
+    constexpr std::uint64_t kOnes = 0x1111111111111111ULL;
+    const std::uint64_t order = order_[set];
+    const std::uint64_t x = order ^ (kOnes * way);
+    const std::uint64_t zero = (x - kOnes) & ~x & (kOnes << 3);
+    const int shift = std::countr_zero(zero) & ~3;  // 4 * the way's stack position
+    const std::uint64_t in_front = (std::uint64_t{1} << shift) - 1;
+    order_[set] = (order & (~in_front << 4)) | ((order & in_front) << 4) | way;
   }
 
   CacheConfig cfg_;
   std::uint64_t sets_;
   std::uint32_t line_shift_ = 0;
   std::uint64_t set_mask_ = 0;
-  std::uint64_t tick_ = 0;
+  std::uint32_t lru_shift_ = 0;     ///< 4 * (ways - 1): the LRU nibble's offset
+  std::uint64_t empty_order_ = 0;   ///< stack of an empty set: way 0 at the LRU end
   // Struct-of-arrays line state, sets_ * ways entries, row-major by set.
   std::vector<std::uint64_t> tag_;   ///< line-aligned addr, kInvalidTag if empty
-  std::vector<std::uint64_t> lru_;   ///< last-access tick (victim = min)
   std::vector<std::uint8_t> flags_;  ///< kDirty | kPrefetched | kReferenced
-  std::vector<std::uint32_t> mru_way_;  ///< per-set hint, search order only
+  std::vector<std::uint64_t> order_;  ///< per-set recency stack (see header comment)
 };
 
 }  // namespace memdis::cachesim

@@ -19,13 +19,12 @@ CacheHierarchy::CacheHierarchy(const HierarchyConfig& cfg, memsim::TieredMemory&
       l3_(cfg.l3),
       prefetcher_(with_line(cfg.prefetcher, cfg.l2.line_bytes, mem.page_bytes())) {}
 
-AccessResult CacheHierarchy::access_miss(std::uint64_t vaddr, bool is_store) {
+HitLevel CacheHierarchy::access_miss(std::uint64_t vaddr, bool is_store) {
   // L1 miss: the L2 access stream is what trains the streamer.
-  AccessResult result;
+  HitLevel level = HitLevel::kL2;
   const auto l2_hit = l2_.access(vaddr, is_store);
   if (l2_hit.hit) {
     ++counters_.l2_hits;
-    result = AccessResult{HitLevel::kL2, memsim::kNodeTier, l2_hit.first_use_of_prefetch};
     if (l2_hit.first_use_of_prefetch) {
       ++counters_.pf_hits;
       prefetcher_.record_useful();
@@ -34,14 +33,14 @@ AccessResult CacheHierarchy::access_miss(std::uint64_t vaddr, bool is_store) {
     ++counters_.l3_hits;
     ++counters_.l2_lines_in;
     if (auto ev = l2_.fill_absent(vaddr, is_store, /*prefetched=*/false)) handle_l2_eviction(*ev);
-    result = AccessResult{HitLevel::kL3, memsim::kNodeTier, false};
+    level = HitLevel::kL3;
   } else {
-    const memsim::TierId tier = dram_fetch(vaddr, /*demand=*/true);
+    dram_fetch(vaddr, /*demand=*/true);
     if (auto ev = l3_.fill_absent(vaddr, /*dirty=*/false, /*prefetched=*/false))
       handle_l3_eviction(*ev);
     ++counters_.l2_lines_in;
     if (auto ev = l2_.fill_absent(vaddr, is_store, /*prefetched=*/false)) handle_l2_eviction(*ev);
-    result = AccessResult{HitLevel::kDram, tier, false};
+    level = HitLevel::kDram;
   }
 
   if (auto ev = l1_.fill_absent(vaddr, is_store, /*prefetched=*/false)) {
@@ -53,7 +52,7 @@ AccessResult CacheHierarchy::access_miss(std::uint64_t vaddr, bool is_store) {
   }
 
   issue_prefetches(vaddr, is_store);
-  return result;
+  return level;
 }
 
 void CacheHierarchy::issue_prefetches(std::uint64_t vaddr, bool is_store) {
@@ -76,14 +75,13 @@ void CacheHierarchy::issue_prefetches(std::uint64_t vaddr, bool is_store) {
   }
 }
 
-memsim::TierId CacheHierarchy::dram_fetch(std::uint64_t line_addr, bool demand) {
+void CacheHierarchy::dram_fetch(std::uint64_t line_addr, bool demand) {
   const memsim::TierId tier = mem_.touch(line_addr);
   const auto ti = static_cast<std::size_t>(tier);
   ++counters_.offcore_l3_miss;
   ++counters_.offcore_dram[ti];
   counters_.dram_read_bytes[ti] += l2_.line_bytes();
   if (demand) ++counters_.demand_dram[ti];
-  return tier;
 }
 
 void CacheHierarchy::handle_l2_eviction(const Eviction& ev) {

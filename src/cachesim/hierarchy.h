@@ -44,18 +44,12 @@ struct HierarchyConfig {
 /// Where a demand access was satisfied.
 enum class HitLevel : std::uint8_t { kL1, kL2, kL3, kDram };
 
-struct AccessResult {
-  HitLevel level = HitLevel::kL1;
-  memsim::TierId tier = memsim::kNodeTier;  ///< valid when level == kDram
-  bool covered_by_prefetch = false;         ///< first demand use of a prefetched line
-};
-
 class CacheHierarchy {
  public:
   CacheHierarchy(const HierarchyConfig& cfg, memsim::TieredMemory& mem);
 
   /// Simulates one demand access of up to one cacheline.
-  AccessResult access(std::uint64_t vaddr, bool is_store) {
+  HitLevel access(std::uint64_t vaddr, bool is_store) {
     if (is_store) {
       ++counters_.stores;
     } else {
@@ -63,14 +57,14 @@ class CacheHierarchy {
     }
     if (l1_.access(vaddr, is_store).hit) {
       ++counters_.l1_hits;
-      return AccessResult{HitLevel::kL1, memsim::kNodeTier, false};
+      return HitLevel::kL1;
     }
     return access_miss(vaddr, is_store);
   }
 
   // ---- resident-line handles (sim::Engine's batching kernel) -------------
-  // A window of iterations whose lanes all hit L1 is applied as one tick
-  // advance plus one net LRU/dirty update per lane; the counters are
+  // A window of iterations whose lanes all hit L1 is applied as one net
+  // recency/dirty update per lane, in lane order; the counters are
   // credited at batch end (credit_l1_run). Handles go stale at any L1 fill,
   // so the engine re-resolves them after every non-batched access.
   static constexpr std::size_t l1_npos = SetAssocCache::npos;
@@ -80,10 +74,7 @@ class CacheHierarchy {
   void l1_index_of_batch(const std::uint64_t* line_addrs, std::size_t n, std::size_t* out) {
     l1_.index_of_batch(line_addrs, n, out);
   }
-  void l1_touch_at(std::size_t idx, bool any_store, std::uint64_t final_tick) {
-    l1_.touch_at(idx, any_store, final_tick);
-  }
-  std::uint64_t l1_advance_tick(std::uint64_t n) { return l1_.advance_tick(n); }
+  void l1_touch(std::size_t handle, bool any_store) { l1_.touch(handle, any_store); }
 
   /// Flushes a batch accumulator of L1-hit runs into the counters.
   void credit_l1_run(std::uint64_t loads, std::uint64_t stores) {
@@ -100,14 +91,10 @@ class CacheHierarchy {
   /// Observable line state of all three levels (trace replay validation).
   struct Snapshot {
     SetAssocCache::Snapshot l1, l2, l3;
+    bool operator==(const Snapshot&) const = default;
   };
   [[nodiscard]] Snapshot snapshot_caches() const {
     return Snapshot{l1_.snapshot(), l2_.snapshot(), l3_.snapshot()};
-  }
-  void restore_caches(const Snapshot& s) {
-    l1_.restore(s.l1);
-    l2_.restore(s.l2);
-    l3_.restore(s.l3);
   }
 
   void set_prefetch_enabled(bool on) { prefetcher_.set_enabled(on); }
@@ -121,9 +108,9 @@ class CacheHierarchy {
  private:
   /// Everything below an L1 hit: L2/L3 probes, DRAM fetch, fills,
   /// writebacks, prefetch issue.
-  AccessResult access_miss(std::uint64_t vaddr, bool is_store);
+  HitLevel access_miss(std::uint64_t vaddr, bool is_store);
   /// Fetches one line from DRAM on behalf of a demand miss or a prefetch.
-  memsim::TierId dram_fetch(std::uint64_t line_addr, bool demand);
+  void dram_fetch(std::uint64_t line_addr, bool demand);
   void handle_l2_eviction(const Eviction& ev);
   void handle_l3_eviction(const Eviction& ev);
   void writeback_to_dram(std::uint64_t line_addr);

@@ -1,13 +1,14 @@
 // SIMD portability shim for the simulator's innermost loop: the
-// set-associative way scan over the dense struct-of-arrays tag/LRU planes
-// (cachesim/cache.h). Two primitives cover every probe the hierarchy
-// performs, including the stream prefetcher's page and tick planes
-// (cachesim/prefetcher.cpp):
+// set-associative way scan over the dense struct-of-arrays tag plane
+// (cachesim/cache.h) and the stream prefetcher's page and tick planes
+// (cachesim/prefetcher.cpp). Two primitives cover every probe:
 //
 //   find_equal_except  — first way whose 8-byte tag equals the probe tag
-//                        (the hit scan behind find()/contains()),
-//   argmin_first       — first way holding the minimum LRU tick
-//                        (the victim scan behind fill_absent()).
+//                        (the hit scan behind the cache's find_way() and
+//                        the prefetcher's stream lookup),
+//   argmin_first       — first entry holding the minimum tick (the
+//                        prefetcher's LRU stream entry; the cache reads
+//                        its victim off a per-set recency stack instead).
 //
 // The instruction set is selected at compile time from what the build
 // targets (CMake's MEMDIS_SIMD option probes the build host and adds
@@ -28,7 +29,7 @@
 // Every wide path is *observably identical* to the scalar loop it
 // replaces: tags are unique within a set, so "any matching lane" is "the
 // first matching way", and the argmin reduction resolves ties to the
-// lowest index — the exact victim the scalar `<` scan picks. The ISA is
+// lowest index — the exact entry the scalar `<` scan picks. The ISA is
 // fixed at compile time; the scalar loops below are the reference the
 // unit tests compare the wide forms against, and the whole path in a
 // -DMEMDIS_SIMD=OFF build (which the golden gate also runs). Design notes:
@@ -174,7 +175,7 @@ inline std::uint32_t find_equal_wide(const std::uint64_t* xs, std::uint32_t n,
 }
 
 // No argmin_first_wide: ordered 64-bit compares predate nothing in SSE2
-// (first in SSE4.2), so the victim scan stays scalar on this tier.
+// (first in SSE4.2), so the LRU-entry scan stays scalar on this tier.
 
 #elif defined(MEMDIS_SIMD_NEON)
 
@@ -237,9 +238,8 @@ inline std::uint32_t find_equal_except(const std::uint64_t* xs, std::uint32_t n,
 #endif
 }
 
-/// Index of the first minimum of xs[0..n): the set-associative victim scan
-/// (invalid ways carry LRU tick 0, so the first zero is the first free
-/// way). Ties resolve to the lowest index on every path.
+/// Index of the first minimum of xs[0..n): the stream prefetcher's LRU
+/// entry scan. Ties resolve to the lowest index on every path.
 inline std::uint32_t argmin_first(const std::uint64_t* xs, std::uint32_t n) {
 #if defined(MEMDIS_SIMD_AVX2) || defined(MEMDIS_SIMD_NEON)
   return argmin_first_wide(xs, n);

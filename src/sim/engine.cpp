@@ -281,7 +281,7 @@ void Engine::stream_lanes(const StreamLane* lanes, std::size_t num_lanes,
   }
 
   // Per-iteration totals, and the batch state of each access lane (flops
-  // lanes perform no access and never touch the LRU clock — batching their
+  // lanes perform no access and never touch a recency stack — batching their
   // flops is exact because pending flops are only read at epoch close, and
   // a window never crosses one: total < room below).
   struct AccessLane {
@@ -291,8 +291,7 @@ void Engine::stream_lanes(const StreamLane* lanes, std::size_t num_lanes,
     std::uint64_t line;  ///< current line (valid once end > 0)
     std::uint64_t end;   ///< iteration at which the lane leaves `line`; 0: unresolved
     std::size_t handle;  ///< L1 handle of `line` (valid while handles_valid)
-    std::uint32_t last_access;  ///< 1-based position of its final access in an iteration
-    bool dirties;               ///< any store (an rmw lane's store is its last access)
+    bool dirties;        ///< any store
   };
   AccessLane al[kMaxLanes];
   std::size_t num_al = 0;
@@ -314,7 +313,7 @@ void Engine::stream_lanes(const StreamLane* lanes, std::size_t num_lanes,
     const std::uint32_t shift =
         std::has_single_bit(ln.stride) ? static_cast<std::uint32_t>(std::countr_zero(ln.stride))
                                        : 64;
-    al[num_al++] = AccessLane{ln.base, ln.stride, shift, 0, 0, 0, accesses_per_iter, stores};
+    al[num_al++] = AccessLane{ln.base, ln.stride, shift, 0, 0, 0, stores};
   }
 
   // Lanes that entered a new line this window (or all lanes after a fill),
@@ -374,12 +373,11 @@ void Engine::stream_lanes(const StreamLane* lanes, std::size_t num_lanes,
       continue;
     }
     // Every access in the window is an L1 hit: apply each lane's net batch
-    // effect — its line carries the tick of the lane's final access in the
-    // window's last iteration. Applying in lane order makes the latest lane
-    // win on shared lines, exactly like the element-wise sequence.
-    const std::uint64_t t_before = hierarchy_.l1_advance_tick(total) - accesses_per_iter;
-    for (std::size_t j = 0; j < num_al; ++j)
-      hierarchy_.l1_touch_at(al[j].handle, al[j].dirties, t_before + al[j].last_access);
+    // effect. Every lane accesses its line in every iteration, so the
+    // recency order the window leaves is the lane order of its last
+    // iteration; touching in lane order reproduces it, the latest lane
+    // winning on shared lines, exactly like the element-wise sequence.
+    for (std::size_t j = 0; j < num_al; ++j) hierarchy_.l1_touch(al[j].handle, al[j].dirties);
     acc.loads += n * loads_per_iter;
     acc.stores += n * stores_per_iter;
     pending_flops_ += n * flops_per_iter;

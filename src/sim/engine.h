@@ -459,7 +459,7 @@ class Engine {
     const std::uint64_t first = addr & ~line_mask_;
     const std::uint64_t last = (addr + size - 1) & ~line_mask_;
     for (std::uint64_t l = first; l <= last; l += line_bytes_)
-      on_demand_access(l, hierarchy_.access(l, is_store).level);
+      on_demand_access(l, hierarchy_.access(l, is_store));
   }
   void on_demand_access(std::uint64_t addr, cachesim::HitLevel level) {
     // Page-access sampling fires at L1-miss granularity — where PEBS

@@ -90,11 +90,11 @@ inline bool same_phase(const sim::PhaseRecord& a, const sim::PhaseRecord& b) {
 
 inline bool same_level(const cachesim::SetAssocCache::Snapshot& a,
                        const cachesim::SetAssocCache::Snapshot& b) {
-  return a.tick == b.tick && a.tag == b.tag && a.lru == b.lru && a.flags == b.flags;
+  return a.tag == b.tag && a.order == b.order && a.flags == b.flags;
 }
 
 /// Bit-for-bit equality of two runs: doubles by their bit patterns,
-/// counters by their bytes, cache levels by tags, LRU ticks and flags.
+/// counters by their bytes, cache levels by tags, recency stacks and flags.
 inline void expect_same_run(const EngineRun& a, const EngineRun& b) {
   EXPECT_EQ(std::tuple(a.result.verified, a.result.detail, bits(a.result.residual)),
             std::tuple(b.result.verified, b.result.detail, bits(b.result.residual)));

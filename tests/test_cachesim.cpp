@@ -126,6 +126,11 @@ TEST(Cache, InvalidConfigViolatesContract) {
   EXPECT_THROW(SetAssocCache({1000, 2, 60}), contract_violation);
 }
 
+TEST(Cache, MoreWaysThanTheRecencyStackHoldsViolatesContract) {
+  EXPECT_THROW(SetAssocCache({64 * 17 * 8, 17, 64}), contract_violation);
+  EXPECT_NO_THROW(SetAssocCache({64 * 16 * 8, 16, 64}));
+}
+
 TEST(Cache, NonMultipleSizeViolatesContract) {
   // 1100 B / (2 ways * 64 B) truncates to 8 sets — a 1024 B cache quietly
   // simulated in place of the configured 1100 B one. Rejected instead.
@@ -221,11 +226,13 @@ TEST(Simd, PlantedAndAllEqualRowsMatchScalarReference) {
   }
 }
 
-/// SetAssocCache as plain way loops: a lookup scans the ways in order and
-/// a fill evicts the first invalid way, else the first LRU minimum. No MRU
-/// hint and no SIMD primitive. Its planes use SetAssocCache::Snapshot's
-/// encoding (tag ~0 and LRU tick 0 mark an invalid way; invalidation
-/// leaves the flags), so the two caches' snapshots compare directly.
+/// SetAssocCache as plain way loops over per-line LRU ticks: a lookup
+/// scans the ways in order and a fill evicts the first invalid way, else
+/// the first LRU minimum. No recency stack, no MRU hint and no SIMD
+/// primitive. Its tag and flag planes use SetAssocCache::Snapshot's
+/// encoding (tag ~0 marks an invalid way; invalidation leaves the flags),
+/// and snapshot() derives the canonical recency stack from the ticks, so
+/// the two caches' snapshots compare directly.
 class ReferenceCache {
  public:
   explicit ReferenceCache(const CacheConfig& cfg)
@@ -292,7 +299,27 @@ class ReferenceCache {
     }
   }
 
-  [[nodiscard]] SetAssocCache::Snapshot snapshot() const { return {tick_, tag_, lru_, flags_}; }
+  /// Each set's stack, MRU first: the valid ways by descending tick, then
+  /// the invalid ways by descending index; unused high nibbles read 0xF.
+  [[nodiscard]] SetAssocCache::Snapshot snapshot() const {
+    std::vector<std::uint64_t> order(sets_);
+    for (std::size_t set = 0; set < sets_; ++set) {
+      const std::size_t base = set * ways_;
+      std::vector<std::size_t> ways(ways_);
+      for (std::size_t w = 0; w < ways_; ++w) ways[w] = w;
+      std::ranges::sort(ways, [&](std::size_t a, std::size_t b) {
+        const bool va = tag_[base + a] != kInvalid;
+        const bool vb = tag_[base + b] != kInvalid;
+        if (va != vb) return va;
+        return va ? lru_[base + a] > lru_[base + b] : a > b;
+      });
+      std::uint64_t word = ~0ULL;
+      for (std::size_t pos = 0; pos < ways_; ++pos)
+        word = (word & ~(0xFULL << (4 * pos))) | (std::uint64_t{ways[pos]} << (4 * pos));
+      order[set] = word;
+    }
+    return {tag_, order, flags_};
+  }
 
  private:
   static constexpr std::uint64_t kInvalid = ~0ULL;
@@ -334,9 +361,10 @@ bool same_eviction(const std::optional<Eviction>& a, const std::optional<Evictio
 // Differential property: on a seeded access/fill/invalidate/drain stream,
 // SetAssocCache reports the reference's hit, prefetch first use and
 // eviction after every op and ends in the same snapshot planes. The way
-// scan and victim argmin run on the build's ISA — wide by default, the
-// scalar loops in a -DMEMDIS_SIMD=OFF build — against the same oracle.
-// Way counts cover a non-power-of-two row (12) and the one-chunk row (4).
+// scan runs on the build's ISA — wide by default, the scalar loop in a
+// -DMEMDIS_SIMD=OFF build — against the same oracle. Way counts cover the
+// direct-mapped set (1), rows shorter than one vector (2, 3), a
+// non-power-of-two row (12) and the full 16-nibble stack.
 class CacheDifferentialTest : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(CacheDifferentialTest, MatchesReferenceCacheOnSeededStreams) {
@@ -385,7 +413,14 @@ TEST_P(CacheDifferentialTest, MatchesReferenceCacheOnSeededStreams) {
         ASSERT_TRUE(same_eviction(c.invalidate(addr), ref.invalidate(addr)));
         break;
       default:
-        if (rng.uniform_below(64) == 0) {
+        if (const std::size_t h = c.index_of(addr); rng.uniform_below(64) != 0) {
+          // The batcher's net update of a resident line is a hit access.
+          ASSERT_EQ(h != SetAssocCache::npos, ref.contains(addr));
+          if (h != SetAssocCache::npos) {
+            c.touch(h, store);
+            (void)ref.access(addr, store);
+          }
+        } else {
           c.drain([&](const Eviction& ev) { drained.push_back(ev); });
           ref.drain([&](const Eviction& ev) { ref_drained.push_back(ev); });
           ASSERT_EQ(drained.size(), ref_drained.size());
@@ -399,13 +434,43 @@ TEST_P(CacheDifferentialTest, MatchesReferenceCacheOnSeededStreams) {
   EXPECT_GT(evictions, 1000u);
   const auto got = c.snapshot();
   const auto want = ref.snapshot();
-  EXPECT_EQ(got.tick, want.tick);
   EXPECT_EQ(got.tag, want.tag);
-  EXPECT_EQ(got.lru, want.lru);
+  EXPECT_EQ(got.order, want.order);
   EXPECT_EQ(got.flags, want.flags);
 }
 
-INSTANTIATE_TEST_SUITE_P(Ways, CacheDifferentialTest, ::testing::Values(4u, 8u, 12u, 16u));
+INSTANTIATE_TEST_SUITE_P(Ways, CacheDifferentialTest,
+                         ::testing::Values(1u, 2u, 3u, 4u, 8u, 12u, 16u));
+
+// Ways invalidated out of index order (2, then 0, then 3) are refilled
+// lowest index first, and only then is the LRU valid line evicted.
+TEST(Cache, InvalidatedWaysRefillLowestIndexFirst) {
+  const CacheConfig cfg{64 * 4 * 8, 4, 64};  // 8 sets: set 0 lines are 512 B apart
+  SetAssocCache c(cfg);
+  ReferenceCache ref(cfg);
+  const auto line = [](std::uint64_t i) { return i * 512; };
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    c.fill(line(i), false, false);
+    ref.fill(line(i), false, false);
+    EXPECT_EQ(c.index_of(line(i)), i);  // set 0: the handle is the way
+  }
+  for (const std::uint64_t i : {2, 0, 3}) {
+    ASSERT_TRUE(c.invalidate(line(i)).has_value());
+    ASSERT_TRUE(ref.invalidate(line(i)).has_value());
+  }
+  EXPECT_EQ(c.snapshot(), ref.snapshot());
+  for (const std::uint64_t way : {0, 2, 3}) {
+    const std::uint64_t fresh = line(4 + way);
+    EXPECT_FALSE(c.fill(fresh, false, false).has_value());
+    (void)ref.fill(fresh, false, false);
+    EXPECT_EQ(c.index_of(fresh), way);
+  }
+  const auto ev = c.fill(line(8), false, false);
+  ASSERT_TRUE(ev.has_value());
+  EXPECT_EQ(ev->line_addr, line(1));  // the one line never invalidated is LRU
+  EXPECT_TRUE(same_eviction(ev, ref.fill(line(8), false, false)));
+  EXPECT_EQ(c.snapshot(), ref.snapshot());
+}
 
 // ---------- StreamPrefetcher ---------------------------------------------------
 
@@ -736,8 +801,7 @@ TEST(Hierarchy, FirstAccessGoesToDram) {
   TieredMemory mem(MachineConfig::skylake_testbed());
   CacheHierarchy h(tiny_hierarchy(), mem);
   const auto r = mem.alloc(1 << 20);
-  const auto res = h.access(r.base, false);
-  EXPECT_EQ(res.level, HitLevel::kDram);
+  EXPECT_EQ(h.access(r.base, false), HitLevel::kDram);
   EXPECT_EQ(h.counters().offcore_l3_miss, 1u);
   EXPECT_EQ(h.counters().demand_dram[0], 1u);
 }
@@ -747,8 +811,7 @@ TEST(Hierarchy, SecondAccessHitsL1) {
   CacheHierarchy h(tiny_hierarchy(), mem);
   const auto r = mem.alloc(1 << 20);
   (void)h.access(r.base, false);
-  const auto res = h.access(r.base, false);
-  EXPECT_EQ(res.level, HitLevel::kL1);
+  EXPECT_EQ(h.access(r.base, false), HitLevel::kL1);
   EXPECT_EQ(h.counters().l1_hits, 1u);
 }
 

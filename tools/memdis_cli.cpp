@@ -24,6 +24,7 @@
 //
 // `--link-model loi|queue` selects the fabric contention model for any
 // subcommand (default loi, the closed form).
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -227,6 +228,13 @@ std::optional<Args> parse(int argc, char** argv) {
       }
       args.ratio = *v;
     } else if (flag == "--fabric") {
+      const auto presets = core::topology_preset_names();
+      if (std::ranges::find(presets, *value) == presets.end()) {
+        std::cerr << "error: unknown --fabric preset '" << *value << "' (expected ";
+        for (std::size_t p = 0; p < presets.size(); ++p) std::cerr << (p ? "|" : "") << presets[p];
+        std::cerr << ")\n";
+        return std::nullopt;
+      }
       args.fabric = *value;
     } else if (flag == "--lois") {
       std::string error;
